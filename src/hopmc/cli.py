@@ -36,7 +36,13 @@ from .measures import (
     mc_w_state,
     moving_average,
 )
-from .models import MODEL_NAMES, ReferenceTrajectory, load_config, make_model
+from .models import (
+    MODEL_NAMES,
+    ReferenceTrajectory,
+    load_config,
+    make_model,
+    parameter_names,
+)
 from . import integrator
 
 EXIT_OK = 0
@@ -236,11 +242,21 @@ def cmd_sweep_bins(args) -> int:
     return EXIT_OK
 
 
+def _scope_overrides(overrides: dict[str, float]) -> dict[str, dict[str, float]]:
+    """Each model's share of the overrides: the keys that its parameter set
+    or the common hopper defines.  A key that no model defines is an error."""
+    names = {m: parameter_names(m) for m in MODEL_NAMES}
+    unknown = sorted(set(overrides).difference(*names.values()))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for every model: {unknown}")
+    return {m: {k: v for k, v in overrides.items() if k in names[m]} for m in MODEL_NAMES}
+
+
 def cmd_report(args) -> int:
     if args.smooth_block < 1 or args.smooth_block % 2 == 0:
         raise ValueError(f"--smooth-block must be odd, got {args.smooth_block}")
+    overrides = _scope_overrides(load_config(args.config) if args.config else {})
     args.out.mkdir(parents=True, exist_ok=True)
-    overrides = load_config(args.config) if args.config else None
     traces = []
     for name in MODEL_NAMES:
         path = _trace_path(args.out, name)
@@ -248,7 +264,7 @@ def cmd_report(args) -> int:
             print(f"using cached {path}")
             traces.append(load_trace(path))
             continue
-        trace = _simulate_model(name, args.out, args.duration, overrides, None)
+        trace = _simulate_model(name, args.out, args.duration, overrides[name], None)
         trace.save(path)
         print(f"wrote {path} (max height after transient: "
               f"{trace.meta['max_height_post_transient']:.4f} m)")

@@ -1,7 +1,24 @@
-"""Adaptive Dormand-Prince integration of the hopping models.
+"""Integration of the hopping models onto a uniform sample grid.
 
-Drives scipy's RK45 stepper (the classic 4(5) Dormand-Prince pair with
-quartic dense output) segment by segment:
+A model picks its path through ``stance_system()``.
+
+Models whose stance is linear in the state (the DC motor, ``dcmot``) are
+propagated in closed form, with no step-size control:
+
+* flight is a parabola with the auxiliary state held, and touchdown is the
+  parabola's root;
+* in stance, x' = A x + f(s) with a constant A and an input f that is a
+  cubic in time between two reference knots (constant past the reference
+  end).  Each knot interval is solved exactly with Van Loan's block matrix
+  exponential; the propagators for the recurring interval lengths and
+  sample offsets are computed once.  Liftoff is found by Newton's method on
+  the exact y(s) = l0;
+* the solution is exact only while the PD voltage stays inside its bound,
+  which is checked at every interval end and every sample.  A breach raises
+  :class:`IntegrationError`; there is no fallback stepper.
+
+All other models (the muscles) are stepped with scipy's RK45, the classic
+4(5) Dormand-Prince pair with quartic dense output, segment by segment:
 
 * contact transitions (y crossing the leg rest length) are localized by
   bisection on the dense output and become hard segment boundaries, so the
@@ -14,13 +31,16 @@ quartic dense output) segment by segment:
 * output samples on the uniform 1 kHz grid are evaluated from the dense
   output, never by restarting the integration.
 
-The recorded acceleration channel re-evaluates the right-hand side at the
-sample point; it is not a finite difference of the velocity channel.
+On both paths the recorded acceleration channel re-evaluates the
+right-hand side at the sample point; it is not a finite difference of the
+velocity channel.  ``Trace.meta`` records the path (``stepper``) and its
+deterministic work counts.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from collections import deque
@@ -30,8 +50,9 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import RK45
 from scipy.interpolate import CubicHermiteSpline
+from scipy.linalg import matrix_balance
 
-from .models import HoppingModel, ReferenceTrajectory, StepContext
+from .models import HoppingModel, LinearStance, ReferenceTrajectory, StepContext
 
 __all__ = [
     "IntegratorConfig",
@@ -318,10 +339,51 @@ class _Recorder:
 def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace:
     """Simulate a hopping model and return its uniformly sampled trace.
 
-    Raises :class:`IntegrationError` on step-size underflow or non-finite
-    state, with the last valid time in the message.
+    A model whose ``stance_system()`` returns a :class:`LinearStance` is
+    propagated in closed form; any other model is stepped with RK45.
+
+    Raises :class:`IntegrationError` on step-size underflow, non-finite
+    state, or a stance input outside the linear stance's bound, with the
+    time in the message.
     """
     cfg = cfg or IntegratorConfig()
+    rec = _Recorder(model, cfg)
+    system = model.stance_system()
+    if system is None:
+        events, stats = _step_rk45(model, cfg, rec)
+    else:
+        events, stats = _propagate_exact(model, cfg, rec, system)
+
+    if rec.next_idx != rec.n:
+        raise IntegrationError(
+            f"sampling incomplete: {rec.next_idx}/{rec.n} samples ({model.name})")
+
+    transient = min(2.0, 0.25 * cfg.t_end)
+    trace = Trace(
+        model=model.name,
+        action_kind=model.action_kind,
+        sensor_names=model.sensor_names,
+        t=rec.t, y=rec.y, yd=rec.yd, ydd=rec.ydd,
+        sensors=rec.sensors, action=rec.action, contact=rec.contact,
+        events=events,
+        meta={
+            "params": model.params_dict(),
+            "abs_tol": cfg.abs_tol,
+            "rel_tol": cfg.rel_tol,
+            "max_step": cfg.max_step,
+            "t_end": cfg.t_end,
+            "sample_rate": cfg.sample_rate,
+            "transient": transient,
+            "max_height_post_transient": float(rec.y[rec.t >= transient].max()),
+            **stats,
+        },
+    )
+    return trace
+
+
+def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
+               rec: _Recorder) -> tuple[list[TraceEvent], dict]:
+    """Step the full right-hand side with RK45, one solver per segment."""
     l0 = model.common.rest_length
     delay = model.history_delay
     max_step = cfg.max_step
@@ -330,8 +392,8 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         max_step = min(max_step, 0.9 * delay)
 
     history = ForceHistory(delay)
-    rec = _Recorder(model, cfg)
     events: list[TraceEvent] = []
+    stats = {"stepper": "rk45", "rhs_calls": 0, "accepted_steps": 0, "segments": 0}
 
     t = 0.0
     x = np.asarray(model.initial_state(), dtype=float)
@@ -348,8 +410,6 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         t_stop = cfg.t_end
         if delay > 0.0:
             t_stop = min(t_stop, history.next_break_after(t))
-        t_model = _model_breakpoint(model, t, ctx)
-        t_stop = min(t_stop, t_model)
         if t_stop <= t + _TIME_EPS:
             t_stop = min(cfg.t_end, t + _TIME_EPS * 10)
 
@@ -359,6 +419,7 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         solver = RK45(lambda tt, xx, _ctx=ctx: model.derivative(tt, xx, _ctx),
                       t, x, t_bound=t_stop, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                       max_step=max_step, first_step=first)
+        stats["segments"] += 1
 
         g_prev = float(x[0]) - l0
         event_hit = False
@@ -370,6 +431,7 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
             if not np.all(np.isfinite(solver.y)):
                 raise IntegrationError(
                     f"non-finite state at t = {solver.t:.9f} s ({model.name})")
+            stats["accepted_steps"] += 1
             prev_h = solver.t - solver.t_old
             dense = solver.dense_output()
             g_new = float(solver.y[0]) - l0
@@ -415,42 +477,232 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
             history.append(solver.t, f_acc,
                            _force_rate(model, solver.t, x_acc, ctx, f_acc))
             g_prev = g_new
+        stats["rhs_calls"] += solver.nfev
 
         if not event_hit:
             t, x = solver.t, model.clamp_state(solver.y)
+    return events, stats
 
-    if rec.next_idx != rec.n:
+
+# ---------------------------------------------------------------------------
+# closed-form path: ballistic flight, exact linear stance
+# ---------------------------------------------------------------------------
+
+_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])
+_ROOT_TOL = 1e-15         # Newton step at which a liftoff time is final [s]
+_NEWTON_MAX = 60
+
+# [13/13] Pade coefficients and the 1-norm up to which that approximant is
+# accurate to double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of the [13/13] Pade
+    approximant, in NumPy alone.
+
+    ``scipy.linalg.expm`` computes the same approximant, but on a two-core
+    host about one fresh process in four spent 7-8 ms in each of its calls
+    instead of 50 us (not with single-threaded OpenBLAS); an 8 s motor run
+    makes about a hundred calls.
+    """
+    norm = np.abs(m).sum(axis=0).max()
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = m / 2.0 ** squarings
+    b = _PADE13
+    ident = np.eye(len(m))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+class _StanceFlow:
+    """Exact flow of a :class:`LinearStance` across one piece of its input.
+
+    Van Loan's block exponential: with S the nilpotent shift that
+    differentiates the basis (1, r, r^2/2, r^3/6) and B = [b 0 0 0 drift],
+    the top-right block of expm([[A, B], [0, S]] h) holds the integrals of
+    e^(A (h - r)) b r^k / k! and of e^(A (h - r)) drift over 0 <= r <= h.
+    The 3x8 propagator P(h) maps z = (x, c0, c1, c2, c3, 1), a state and the
+    piece's cubic input coefficients, to the state h later.
+    """
+
+    def __init__(self, system: LinearStance):
+        generator = np.zeros((8, 8))
+        generator[:3, :3] = system.matrix
+        generator[:3, 3] = system.input_gain
+        generator[:3, 7] = system.drift
+        generator[3, 4] = generator[4, 5] = generator[5, 6] = 1.0
+        # A diagonal similarity by powers of two shrinks the motor's 1-norm
+        # from about 3e6/s to 1e4/s; unbalanced, the squarings of the Pade
+        # approximant cost about 1e-11 m of accuracy in y per interval.
+        _, (scale, _) = matrix_balance(generator, permute=False, separate=True)
+        self._generator = generator * scale / scale[:, None]
+        self._unscale = scale[:3, None] / scale
+        self._cache: dict[float, np.ndarray] = {}
+
+    def exact(self, h: float) -> np.ndarray:
+        e = _expm(self._generator * h)[:3] * self._unscale
+        return np.hstack((e[:, :3], e[:, 3:7] * _FACTORIALS, e[:, 7:]))
+
+    def recurring(self, h: float) -> np.ndarray:
+        """P(h) for the piece lengths and sample offsets that repeat in every
+        stance; lengths within 1e-15 s of each other share one propagator."""
+        key = round(float(h), 15)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = self.exact(key)
+        return out
+
+
+def _input_pieces(system: LinearStance, period: float):
+    """(start, length, cubic coefficients) of each stance input piece.
+
+    Past the last knot the held input continues in pieces of one sample
+    period, without end.
+    """
+    knots = system.knots.tolist()
+    for i, coeffs in enumerate(system.coeffs):
+        yield knots[i], knots[i + 1] - knots[i], coeffs
+    held = np.array([system.hold, 0.0, 0.0, 0.0])
+    for j in itertools.count():
+        yield knots[-1] + j * period, period, held
+
+
+def _check_input(model: HoppingModel, system: LinearStance, t: float, x: np.ndarray,
+                 coeffs: np.ndarray, sigma: float) -> None:
+    """Fail unless the stance input at ``t`` lies inside the linear model's bound."""
+    c0, c1, c2, c3 = coeffs
+    u = float(system.feedback @ x) + c0 + sigma * (c1 + sigma * (c2 + sigma * c3))
+    if abs(u) > system.input_bound:
         raise IntegrationError(
-            f"sampling incomplete: {rec.next_idx}/{rec.n} samples at t = {t:.9f} s")
-
-    transient = min(2.0, 0.25 * cfg.t_end)
-    trace = Trace(
-        model=model.name,
-        action_kind=model.action_kind,
-        sensor_names=model.sensor_names,
-        t=rec.t, y=rec.y, yd=rec.yd, ydd=rec.ydd,
-        sensors=rec.sensors, action=rec.action, contact=rec.contact,
-        events=events,
-        meta={
-            "params": model.params_dict(),
-            "abs_tol": cfg.abs_tol,
-            "rel_tol": cfg.rel_tol,
-            "max_step": cfg.max_step,
-            "t_end": cfg.t_end,
-            "sample_rate": cfg.sample_rate,
-            "transient": transient,
-            "max_height_post_transient": float(rec.y[rec.t >= transient].max()),
-        },
-    )
-    return trace
+            f"{model.name}: stance input {u:.4f} V at t = {t:.9f} s is outside "
+            f"+/-{system.input_bound:g} V, where the exact stance model assumes "
+            f"an unsaturated controller")
 
 
-def _model_breakpoint(model: HoppingModel, t: float, ctx: StepContext) -> float:
-    """Next model-imposed step boundary (reference-spline knots for dcmot)."""
-    reference = getattr(model, "reference", None)
-    if reference is None or not ctx.contact:
-        return math.inf
-    return ctx.t_touchdown + reference.knot_after(t - ctx.t_touchdown + _TIME_EPS)
+def _liftoff(flow: _StanceFlow, z: np.ndarray, h: float, y_end: float, l0: float,
+             stats: dict) -> tuple[float, np.ndarray]:
+    """Root of y(sigma) = l0 in (0, h] on the exact stance solution, which
+    starts below l0 and ends at ``y_end`` >= l0.
+
+    Newton with the exact slope yd from the secant guess, kept inside the
+    sign bracket by bisection; returns the root and the state there.
+    """
+    lo, hi = 0.0, h
+    sigma = h * (l0 - z[0]) / (y_end - z[0])
+    for _ in range(_NEWTON_MAX):
+        stats["newton_iterations"] += 1
+        x = flow.exact(sigma) @ z
+        g = x[0] - l0
+        step = g / x[1]
+        if g == 0.0 or abs(step) <= _ROOT_TOL:
+            return sigma, x
+        if g < 0.0:
+            lo = sigma
+        else:
+            hi = sigma
+        sigma -= step
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
+    return sigma, flow.exact(sigma) @ z
+
+
+def _stance(flow: _StanceFlow, system: LinearStance, model: HoppingModel,
+            rec: _Recorder, ctx: StepContext, x: np.ndarray, t_end: float,
+            stats: dict) -> tuple[float, np.ndarray] | None:
+    """Propagate one stance from its touchdown state ``x`` piece by piece.
+
+    Records the samples on the way; returns the liftoff time and state, or
+    None when the run ends first.
+    """
+    l0 = model.common.rest_length
+    for s_a, h, coeffs in _input_pieces(system, 1.0 / rec.rate):
+        t_a = ctx.t_touchdown + s_a
+        z = np.concatenate((x, coeffs, (1.0,)))
+        x_b = flow.recurring(h) @ z
+        stats["intervals"] += 1
+        lift = x[0] < l0 <= x_b[0]
+        if lift:
+            sigma, x_ev = _liftoff(flow, z, h, x_b[0], l0, stats)
+            t_stop = t_a + sigma
+        else:
+            t_stop = t_a + h
+
+        def state(t, z=z, t_a=t_a, coeffs=coeffs):
+            xs = flow.recurring(t - t_a) @ z
+            _check_input(model, system, t, xs, coeffs, t - t_a)
+            return xs
+
+        rec.record_span(state, t_a, min(t_stop, t_end), ctx)
+        if t_stop > t_end or (t_stop == t_end and not lift):
+            return None
+        if lift:
+            _check_input(model, system, t_stop, x_ev, coeffs, sigma)
+            return t_stop, x_ev
+        _check_input(model, system, t_stop, x_b, coeffs, h)
+        x = x_b
+
+
+def _fall_time(height: float, speed: float, gravity: float) -> float:
+    """Time until a ballistic body ``height`` above the ground, moving up at
+    ``speed``, comes down to it (the later root of the parabola)."""
+    root = math.sqrt(max(speed * speed + 2.0 * gravity * height, 0.0))
+    if speed >= 0.0:
+        return (speed + root) / gravity
+    return 2.0 * height / (root - speed)     # same root, without cancellation
+
+
+def _ballistic(x: np.ndarray, tau: float, gravity: float) -> np.ndarray:
+    return np.array([x[0] + tau * (x[1] - 0.5 * gravity * tau),
+                     x[1] - gravity * tau, x[2]])
+
+
+def _propagate_exact(model: HoppingModel, cfg: IntegratorConfig, rec: _Recorder,
+                     system: LinearStance) -> tuple[list[TraceEvent], dict]:
+    """Closed-form flight parabolas and exact linear stances, event to event."""
+    l0, gravity = model.common.rest_length, model.common.gravity
+    flow = _StanceFlow(system)
+    events: list[TraceEvent] = []
+    stats = {"stepper": "exact-stance", "intervals": 0, "newton_iterations": 0}
+
+    t = 0.0
+    x = np.asarray(model.initial_state(), dtype=float)
+    ctx = StepContext(True, 0.0) if x[0] <= l0 else StepContext(False)
+    rec.record_state(t, x, ctx)
+    while t < cfg.t_end - _TIME_EPS:
+        if ctx.contact:
+            end = _stance(flow, system, model, rec, ctx, x, cfg.t_end, stats)
+            if end is None:
+                break
+            t_ev, x_ev = end
+            kind, x_after, ctx_after = "liftoff", model.on_liftoff(x_ev), StepContext(False)
+        else:
+            t_ev = t + _fall_time(x[0] - l0, x[1], gravity)
+            rec.record_span(lambda tt, x0=x, t0=t: _ballistic(x0, tt - t0, gravity),
+                            t, min(t_ev, cfg.t_end), ctx)
+            if t_ev > cfg.t_end:
+                break
+            x_ev = x_after = _ballistic(x, t_ev - t, gravity)
+            kind, ctx_after = "touchdown", StepContext(True, t_ev)
+        ydd_before = float(model.derivative(t_ev, x_ev, ctx)[1])
+        ydd_after = float(model.derivative(t_ev, x_after, ctx_after)[1])
+        events.append(TraceEvent(t_ev, kind, float(x_after[0]), float(x_after[1]),
+                                 ydd_before, ydd_after))
+        t, x, ctx = t_ev, x_after, ctx_after
+    return events, stats
 
 
 def contact_segments(contact: np.ndarray) -> list[tuple[int, int, bool]]:

@@ -34,6 +34,7 @@ __all__ = [
     "MusLinParams",
     "DCMotParams",
     "StepContext",
+    "LinearStance",
     "ReferenceTrajectory",
     "HoppingModel",
     "MusFibModel",
@@ -47,6 +48,7 @@ __all__ = [
     "motor_current_derivative",
     "load_config",
     "make_model",
+    "parameter_names",
     "MODEL_NAMES",
 ]
 
@@ -194,6 +196,35 @@ class StepContext:
     delayed_force: Callable[[float], float] = lambda t: 0.0
 
 
+@dataclass(frozen=True)
+class LinearStance:
+    """Stance dynamics that are linear in the state, for exact propagation.
+
+    With ``s`` the time since touchdown, the stance state obeys::
+
+        x' = matrix @ x + drift + input_gain * r(s)
+
+    where ``r`` is the part of the actuator input that comes from the
+    reference: in each piece ``[knots[i], knots[i + 1]]`` a cubic in the
+    local time ``s - knots[i]`` with power-basis coefficients ``coeffs[i]``,
+    and the constant ``hold`` from the last knot on.  ``knots[0]`` is 0.  The
+    actuator input is ``u = feedback @ x + r(s)``; ``matrix`` already holds
+    the ``input_gain * feedback`` term.  The model is exact only while
+    ``|u| <= input_bound``, where the real controller does not saturate.  A
+    model that has a linear stance hops ballistically in flight, with its
+    auxiliary state held.
+    """
+
+    matrix: np.ndarray
+    drift: np.ndarray
+    input_gain: np.ndarray
+    feedback: np.ndarray
+    input_bound: float
+    knots: np.ndarray
+    coeffs: np.ndarray
+    hold: float
+
+
 # ---------------------------------------------------------------------------
 # force laws and controllers
 # ---------------------------------------------------------------------------
@@ -299,17 +330,6 @@ class ReferenceTrajectory:
         return (cy[0] + dt * (cy[1] + dt * (cy[2] + dt * cy[3])),
                 cv[0] + dt * (cv[1] + dt * (cv[2] + dt * cv[3])))
 
-    def knot_after(self, t_stance: float) -> float:
-        """Next interpolation knot strictly after ``t_stance`` (inf if none).
-
-        The integrator aligns step boundaries with these knots since the
-        Hermite interpolant has curvature jumps there.
-        """
-        idx = bisect.bisect_right(self._tau_list, t_stance)
-        if idx >= len(self._tau_list):
-            return math.inf
-        return self._tau_list[idx]
-
     def to_csv(self, path: str | Path) -> None:
         lines = ["tau,y,yd,ydd"]
         for row in zip(self.tau, self.y, self.yd, self.ydd):
@@ -376,6 +396,11 @@ class HoppingModel:
 
     def params_dict(self) -> dict:
         raise NotImplementedError
+
+    def stance_system(self) -> LinearStance | None:
+        """Linear stance dynamics for exact propagation, or None when the
+        right-hand side must be stepped numerically."""
+        return None
 
 
 class _MuscleModel(HoppingModel):
@@ -530,6 +555,27 @@ class DCMotModel(HoppingModel):
                    rest_length=self.common.rest_length)
         return out
 
+    def stance_system(self) -> LinearStance:
+        """The stance as x' = A x + drift + b r(s), with the PD voltage
+        u = kp (y_ref - y) + kd (yd_ref - yd) taken unclamped."""
+        p, ref = self.params, self.reference
+        if ref.tau[0] != 0.0:
+            raise ValueError(f"the stance reference must start at touchdown, "
+                             f"not at tau = {ref.tau[0]!r} s")
+        force_per_amp = p.torque_const * p.gear_ratio
+        gain = np.array([0.0, 0.0, 1.0 / p.inductance])
+        feedback = np.array([-p.kp, -p.kd, 0.0])
+        matrix = np.array([
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, force_per_amp / self.common.mass],
+            [0.0, -force_per_amp / p.inductance, -p.resistance / p.inductance],
+        ]) + np.outer(gain, feedback)
+        coeffs = p.kp * np.asarray(ref._coeff_y) + p.kd * np.asarray(ref._coeff_yd)
+        y_end, yd_end = ref.value(ref.tau[-1])
+        return LinearStance(matrix, np.array([0.0, -self.common.gravity, 0.0]), gain,
+                            feedback, p.volt_max, ref.tau, coeffs,
+                            p.kp * y_end + p.kd * yd_end)
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -554,6 +600,11 @@ def load_config(path: str | Path) -> dict[str, float]:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: invalid number {value!r} for {key!r}") from exc
     return overrides
+
+
+def parameter_names(name: str) -> set[str]:
+    """The configuration keys that model ``name`` accepts."""
+    return {f.name for f in fields(_PARAM_TYPES[name])} | _COMMON_FIELDS
 
 
 def make_model(name: str, overrides: dict[str, float] | None = None,

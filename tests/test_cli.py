@@ -75,6 +75,18 @@ class TestSimulate:
         assert len(meta["source_trace_sha256"]) == 64
         assert "simulating musfib" not in capsys.readouterr().err
 
+    def test_dcmot_voltage_bound_breach_is_numerical_failure(self, trace_dir, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("volt_max = 10\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
+                   "--config", str(cfg),
+                   "--reference", str(trace_dir / "reference_stance.csv")])
+        assert rc == 2
+        assert "dcmot" in capsys.readouterr().err
+        assert not (out / "trace_dcmot.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -162,3 +174,23 @@ class TestReport:
             assert vals["mc_w"] > 0
         assert (tmp_path / "binning_spec.txt").exists()
         assert (tmp_path / "mc_state_dcmot.csv").exists()
+
+    def test_config_key_applies_to_models_that_define_it(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("f_max = 2600\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
+        assert rc == 0
+        for name in ("musfib", "muslin"):
+            assert load_trace(out / f"trace_{name}.csv").meta["params"]["f_max"] == 2600.0
+        assert "f_max" not in load_trace(out / "trace_dcmot.csv").meta["params"]
+
+    def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("warp_drive = 9\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        assert "warp_drive" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

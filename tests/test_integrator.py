@@ -4,17 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from hopmc.integrator import (
     ForceHistory,
     IntegrationError,
     IntegratorConfig,
+    _expm,
     contact_segments,
     extract_stance_reference,
     integrate,
     load_trace,
 )
-from hopmc.models import HopperCommon, HoppingModel, MusFibModel, make_model
+from hopmc.models import (
+    DCMotModel,
+    DCMotParams,
+    HopperCommon,
+    HoppingModel,
+    MusFibModel,
+    StepContext,
+    make_model,
+)
 
 
 class _DecayModel(HoppingModel):
@@ -83,6 +94,53 @@ class TestAborts:
     def test_non_finite_derivative(self):
         with pytest.raises(IntegrationError):
             integrate(_BlowUpModel(), IntegratorConfig(t_end=1.0))
+
+    def test_motor_voltage_beyond_bound(self, pipeline):
+        # the default run peaks near 19 V; a 10 V bound would clamp the PD
+        # voltage, which the exact linear stance cannot represent
+        model = DCMotModel(pipeline.reference, DCMotParams(volt_max=10.0))
+        with pytest.raises(IntegrationError,
+                           match=r"^dcmot: stance input -?\d+\.\d+ V at t = \d+\.\d+ s"):
+            integrate(model, IntegratorConfig(t_end=1.0))
+
+
+class TestExactStance:
+    def test_pade_expm_matches_scipy(self):
+        rng = np.random.default_rng(1)
+        for norm in (0.1, 5.0, 60.0):
+            m = rng.standard_normal((8, 8))
+            m *= norm / np.abs(m).sum(axis=0).max()
+            expected = expm(m)
+            np.testing.assert_allclose(_expm(m), expected, rtol=0.0,
+                                       atol=1e-13 * np.abs(expected).max())
+
+    def test_matches_dop853_over_one_stance(self, pipeline):
+        """Oracle: one full stance of the exact path against DOP853 at 1e-12,
+        restarted at every reference knot, from the same touchdown state."""
+        trace = pipeline.traces["dcmot"]
+        assert trace.meta["stepper"] == "exact-stance"
+        td = [e for e in trace.events if e.kind == "touchdown"][5]
+        lo = next(e for e in trace.events if e.kind == "liftoff" and e.t > td.t)
+        model = DCMotModel(pipeline.reference)
+        ctx = StepContext(True, td.t)
+        knots = td.t + pipeline.reference.tau
+        bounds = [td.t, *knots[(knots > td.t) & (knots < lo.t)], lo.t]
+        x = np.array([td.y, td.yd, 0.0])
+        gap_y = gap_yd = 0.0
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            sol = solve_ivp(lambda t, xx: model.derivative(t, xx, ctx), (a, b), x,
+                            method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
+            sel = (trace.t > a) & (trace.t <= b) & (trace.t < lo.t)
+            if sel.any():
+                xs = sol.sol(trace.t[sel])
+                gap_y = max(gap_y, np.abs(xs[0] - trace.y[sel]).max())
+                gap_yd = max(gap_yd, np.abs(xs[1] - trace.yd[sel]).max())
+            x = sol.y[:, -1]
+        gap_y = max(gap_y, abs(x[0] - lo.y))
+        gap_yd = max(gap_yd, abs(x[1] - lo.yd))
+        assert len(bounds) > 200
+        assert gap_y <= 1e-11
+        assert gap_yd <= 1e-10
 
 
 class TestBallisticFlight:
@@ -172,6 +230,11 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.sensors, trace.sensors)
         np.testing.assert_array_equal(back.contact, trace.contact)
         assert len(back.events) == len(trace.events)
+        assert back.meta == trace.meta
+        assert trace.meta["stepper"] == "exact-stance"
+        assert trace.meta["intervals"] > 4000
+        liftoffs = sum(e.kind == "liftoff" for e in trace.events)
+        assert trace.meta["newton_iterations"] >= liftoffs
 
     def test_missing_sidecar_rejected(self, pipeline, tmp_path):
         trace = pipeline.traces["musfib"]
@@ -180,11 +243,20 @@ class TestCsvRoundTrip:
         with pytest.raises(FileNotFoundError):
             load_trace(path)
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self, pipeline, tmp_path):
         cfg = IntegratorConfig(t_end=1.0)
-        p1 = integrate(MusFibModel(), cfg).save(tmp_path / "a.csv")
-        p2 = integrate(MusFibModel(), cfg).save(tmp_path / "b.csv")
+        t1, t2 = integrate(MusFibModel(), cfg), integrate(MusFibModel(), cfg)
+        p1, p2 = t1.save(tmp_path / "a.csv"), t2.save(tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
+        assert (tmp_path / "a.meta.json").read_bytes() == (tmp_path / "b.meta.json").read_bytes()
+        # solver counters are deterministic, so they may sit in the sidecar
+        assert t1.meta == t2.meta
+        assert t1.meta["stepper"] == "rk45"
+        assert t1.meta["rhs_calls"] > t1.meta["accepted_steps"] >= t1.meta["segments"] >= 1
+        motor = [integrate(DCMotModel(pipeline.reference), cfg) for _ in range(2)]
+        assert motor[0].meta == motor[1].meta
+        assert motor[0].meta["stepper"] == "exact-stance"
+        assert motor[0].meta["intervals"] > 0
 
 
 class TestForceHistory:

@@ -149,6 +149,35 @@ class TestMotorCurrent:
         assert motor_current_derivative(1.0, 0.0, 0.0, P_MOT) == pytest.approx(-4493.75, rel=1e-12)
 
 
+class TestStanceSystem:
+    def test_linear_form_matches_motor_derivative(self):
+        model = DCMotModel(_ref_two_point())
+        system = model.stance_system()
+        ctx = StepContext(contact=True, t_touchdown=2.0)
+        for s in (0.0, 0.03, 0.1, 0.2):
+            # a state near the reference keeps the PD voltage unclamped
+            y_ref, yd_ref = model.reference.value(s)
+            x = np.array([y_ref - 1e-3, yd_ref + 2e-3, 1.5])
+            c = system.coeffs[0]
+            r = system.hold if s >= 0.1 else c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+            u = system.feedback @ x + r
+            assert u == pytest.approx(model.control(2.0 + s, x, ctx), abs=1e-9)
+            assert abs(u) < system.input_bound
+            np.testing.assert_allclose(
+                system.matrix @ x + system.drift + system.input_gain * r,
+                model.derivative(2.0 + s, x, ctx), rtol=1e-12, atol=1e-9)
+
+    def test_muscles_have_none(self):
+        assert MusFibModel().stance_system() is None
+        assert MusLinModel().stance_system() is None
+
+    def test_reference_must_start_at_touchdown(self):
+        late = ReferenceTrajectory(np.array([0.01, 0.1]), np.ones(2), np.zeros(2),
+                                   np.zeros(2))
+        with pytest.raises(ValueError, match="touchdown"):
+            DCMotModel(late).stance_system()
+
+
 class TestSystemDerivative:
     def test_flight_is_free_fall_for_all_models(self):
         models = [MusFibModel(), MusLinModel(), DCMotModel(_ref_two_point())]
@@ -291,11 +320,6 @@ class TestReferenceTrajectory:
         np.testing.assert_array_equal(back.y, ref.y)
         np.testing.assert_array_equal(back.yd, ref.yd)
         np.testing.assert_array_equal(back.ydd, ref.ydd)
-
-    def test_knot_after(self):
-        ref = _ref_two_point()
-        assert ref.knot_after(0.0) == pytest.approx(0.1)
-        assert ref.knot_after(0.1) == math.inf
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
