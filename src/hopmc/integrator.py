@@ -17,14 +17,16 @@ propagated in closed form, with no step-size control:
   which is checked at every interval end and every sample.  A breach raises
   :class:`IntegrationError`; there is no fallback stepper.
 
-All other models (the muscles) are stepped with scipy's RK45, the classic
-4(5) Dormand-Prince pair with quartic dense output, segment by segment:
+All other models (the muscles) are stepped on plain floats with the 4(5)
+Dormand-Prince pair and its quartic dense output, the algorithm of scipy's
+RK45 (same tableau, error norm, step-size controller and first-step
+choice), segment by segment:
 
 * contact transitions (y crossing the leg rest length) are localized by
   bisection on the dense output and become hard segment boundaries, so the
   discontinuous leg force is never stepped across;
-* the delayed-force history (a ring buffer over accepted steps with C1
-  Hermite interpolation) re-delivers each contact-force jump after the
+* the delayed-force history (the leg force at every accepted step, with
+  C1 Hermite interpolation) re-delivers each contact-force jump after the
   transport delay; those echo times are also hard segment boundaries, since
   stepping across a discontinuity at 1e-12 tolerances thrashes the step-size
   controller;
@@ -33,8 +35,8 @@ All other models (the muscles) are stepped with scipy's RK45, the classic
 
 On both paths the recorded acceleration channel re-evaluates the
 right-hand side at the sample point; it is not a finite difference of the
-velocity channel.  ``Trace.meta`` records the path (``stepper``) and its
-deterministic work counts.
+velocity channel.  ``Trace.meta`` records the path (``stepper``), the
+settings that path used and its deterministic work counts.
 """
 
 from __future__ import annotations
@@ -45,14 +47,14 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import matrix_balance
 
-from .models import HoppingModel, LinearStance, ReferenceTrajectory, StepContext
+from .models import (HoppingModel, LinearStance, ReferenceTrajectory, StepContext,
+                     hermite_coeffs)
 
 __all__ = [
     "IntegratorConfig",
@@ -269,7 +271,7 @@ class ForceHistory:
         return self._breaks[0] if self._breaks else math.inf
 
 
-def _force_rate(model: HoppingModel, t: float, x: np.ndarray, ctx: StepContext,
+def _force_rate(model: HoppingModel, t: float, x, ctx: StepContext,
                 f0: float) -> float:
     """d/dt of the leg force along the trajectory (Euler probe).
 
@@ -280,7 +282,7 @@ def _force_rate(model: HoppingModel, t: float, x: np.ndarray, ctx: StepContext,
     if not ctx.contact:
         return 0.0
     eps = 1e-7
-    x1 = x + eps * model.derivative(t, x, ctx)
+    x1 = [xi + eps * di for xi, di in zip(x, model.derivative(t, x, ctx))]
     return (model.leg_force(t + eps, x1, ctx) - f0) / eps
 
 
@@ -315,10 +317,15 @@ class _Recorder:
         self.action = np.empty(n)
         self.contact = np.empty(n, dtype=bool)
         self.next_idx = 0
+        self._times = self.t.tolist()
 
-    def record_state(self, t: float, x: np.ndarray, ctx: StepContext) -> None:
+    def due(self, t_hi: float) -> bool:
+        """Whether a pending grid sample lies at or before ``t_hi``."""
+        return self.next_idx < self.n and self._times[self.next_idx] <= t_hi + _TIME_EPS
+
+    def record_state(self, t: float, x, ctx: StepContext) -> None:
         i = self.next_idx
-        x = self.model.clamp_state(np.asarray(x, dtype=float))
+        x = self.model.clamp_state(x)
         self.y[i] = x[0]
         self.yd[i] = x[1]
         self.ydd[i] = self.model.derivative(t, x, ctx)[1]
@@ -329,18 +336,17 @@ class _Recorder:
 
     def record_span(self, dense, t_lo: float, t_hi: float, ctx: StepContext) -> None:
         """Emit all pending grid samples with t_lo < t_k <= t_hi."""
-        while self.next_idx < self.n:
-            tk = self.t[self.next_idx]
-            if tk > t_hi + _TIME_EPS:
-                break
-            self.record_state(min(tk, t_hi), dense(min(tk, t_hi)), ctx)
+        while self.due(t_hi):
+            tk = min(self._times[self.next_idx], t_hi)
+            self.record_state(tk, dense(tk), ctx)
 
 
 def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace:
     """Simulate a hopping model and return its uniformly sampled trace.
 
     A model whose ``stance_system()`` returns a :class:`LinearStance` is
-    propagated in closed form; any other model is stepped with RK45.
+    propagated in closed form; any other model is stepped with
+    Dormand-Prince 4(5).
 
     Raises :class:`IntegrationError` on step-size underflow, non-finite
     state, or a stance input outside the linear stance's bound, with the
@@ -368,9 +374,6 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         events=events,
         meta={
             "params": model.params_dict(),
-            "abs_tol": cfg.abs_tol,
-            "rel_tol": cfg.rel_tol,
-            "max_step": cfg.max_step,
             "t_end": cfg.t_end,
             "sample_rate": cfg.sample_rate,
             "transient": transient,
@@ -381,23 +384,140 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
     return trace
 
 
+# Dormand-Prince 4(5) (Dormand & Prince 1980) with Shampine's quartic dense
+# output (Math. Comp. 46, 1986): the tableau, error weights and interpolant
+# of scipy's RK45.  The second stage has zero weight in the solution, the
+# error estimate and the interpolant, so it is left out of all three.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
+                                -22 / 525, 1 / 40)
+# interpolant weights of stages 1, 3, 4, 5, 6, 7 for the powers 2..4 of the
+# step fraction; the power 1 weighs the first stage alone
+_P2 = (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+       127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
+_P3 = (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+       -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
+_P4 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
+       -10690763975 / 1880347072, 701980252875 / 199316789632,
+       -1453857185 / 822651844, 69997945 / 29380423)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5              # -1 / (order of the error estimate + 1)
+_SQRT3 = 3 ** 0.5                     # RMS norm over the three state components
+
+
+def _rms(a: float, b: float, c: float) -> float:
+    return math.sqrt(a * a + b * b + c * c) / _SQRT3
+
+
+def _dp45_step(rhs, ctx: StepContext, t: float, h: float, y, k1,
+               atol: float, rtol: float):
+    """One Dormand-Prince step of size ``h`` from ``(t, y)``, where
+    ``k1 = rhs(t, y, ctx)``.
+
+    Returns the fifth-order solution, ``rhs`` there (the first stage of the
+    next step), the stages the interpolant needs, and the RMS norm of the
+    embedded error estimate relative to ``atol + max(|y|, |y_new|) rtol``.
+    """
+    y0, y1, y2 = y
+    a0, a1, a2 = k1
+    b0, b1, b2 = rhs(t + _C2 * h, (y0 + _A21 * a0 * h, y1 + _A21 * a1 * h,
+                                   y2 + _A21 * a2 * h), ctx)
+    c0, c1, c2 = k3 = rhs(t + _C3 * h, (y0 + (_A31 * a0 + _A32 * b0) * h,
+                                        y1 + (_A31 * a1 + _A32 * b1) * h,
+                                        y2 + (_A31 * a2 + _A32 * b2) * h), ctx)
+    d0, d1, d2 = k4 = rhs(t + _C4 * h, (y0 + (_A41 * a0 + _A42 * b0 + _A43 * c0) * h,
+                                        y1 + (_A41 * a1 + _A42 * b1 + _A43 * c1) * h,
+                                        y2 + (_A41 * a2 + _A42 * b2 + _A43 * c2) * h), ctx)
+    e0, e1, e2 = k5 = rhs(t + _C5 * h, (
+        y0 + (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0) * h,
+        y1 + (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1) * h,
+        y2 + (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2) * h), ctx)
+    g0, g1, g2 = k6 = rhs(t + h, (
+        y0 + (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0) * h,
+        y1 + (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1) * h,
+        y2 + (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2) * h), ctx)
+    n0, n1, n2 = y_new = (y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0),
+                          y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1),
+                          y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2))
+    z0, z1, z2 = k7 = rhs(t + h, y_new, ctx)
+    err = _rms(
+        (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0 + _E7 * z0) * h
+        / (atol + max(abs(y0), abs(n0)) * rtol),
+        (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1 + _E7 * z1) * h
+        / (atol + max(abs(y1), abs(n1)) * rtol),
+        (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2 + _E7 * z2) * h
+        / (atol + max(abs(y2), abs(n2)) * rtol))
+    return y_new, k7, (k1, k3, k4, k5, k6, k7), err
+
+
+def _dense_output(t_old: float, h: float, y, stages):
+    """The step's quartic interpolant, as a function of time."""
+    q = [(k[0], sum(map(mul, _P2, k)), sum(map(mul, _P3, k)), sum(map(mul, _P4, k)))
+         for k in zip(*stages)]
+
+    def at(t: float) -> tuple[float, float, float]:
+        s = (t - t_old) / h
+        return tuple(yi + h * s * (c1 + s * (c2 + s * (c3 + s * c4)))
+                     for yi, (c1, c2, c3, c4) in zip(y, q))
+    return at
+
+
+def _initial_step(rhs, ctx: StepContext, t: float, y, f, t_bound: float,
+                  max_step: float, atol: float, rtol: float) -> float:
+    """First step size from the local scale of y, y' and y'' (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4; scipy's select_initial_step)."""
+    interval = t_bound - t
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms(*(v / sc for v, sc in zip(y, scale)))
+    d1 = _rms(*(v / sc for v, sc in zip(f, scale)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t + h0, [v + h0 * fv for v, fv in zip(y, f)], ctx)
+    d2 = _rms(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
 def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                rec: _Recorder) -> tuple[list[TraceEvent], dict]:
-    """Step the full right-hand side with RK45, one solver per segment."""
+    """Step the full right-hand side with Dormand-Prince 4(5), segment by
+    segment.
+
+    The state is three floats throughout.  The step-size controller is
+    RK45's: RMS error norm, safety factor 0.9, step ratio within [0.2, 10]
+    and no growth right after a rejection.  A segment starts with the size
+    of the last step taken (the first one with :func:`_initial_step`);
+    unless it starts at an event, it reuses the previous step's last stage
+    (re-evaluated when a clamp moved the state).  The interpolant is built
+    only for steps that hold a grid sample or an event.
+    """
     l0 = model.common.rest_length
     delay = model.history_delay
     max_step = cfg.max_step
     if delay > 0.0:
         # step stages must only query fully recorded history
         max_step = min(max_step, 0.9 * delay)
+    atol, rtol = cfg.abs_tol, max(cfg.rel_tol, 100 * math.ulp(1.0))
+    rhs = model.derivative
 
     history = ForceHistory(delay)
     events: list[TraceEvent] = []
-    stats = {"stepper": "rk45", "rhs_calls": 0, "accepted_steps": 0, "segments": 0}
+    rhs_calls = accepted = rejected_total = segments = 0
+    h_min, h_max = math.inf, 0.0
 
     t = 0.0
-    x = np.asarray(model.initial_state(), dtype=float)
-    contact = bool(x[0] <= l0)
+    x = tuple(float(v) for v in model.initial_state())
+    contact = x[0] <= l0
     t_td = 0.0 if contact else math.nan
     ctx = StepContext(contact, t_td, history.at)
 
@@ -405,6 +525,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
     history.append(t, f0, _force_rate(model, t, x, ctx, f0))
     rec.record_state(t, x, ctx)
 
+    f = None                  # rhs(t, x), unknown at the start and after events
     prev_h: float | None = cfg.initial_step
     while t < cfg.t_end - _TIME_EPS:
         t_stop = cfg.t_end
@@ -413,37 +534,53 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
         if t_stop <= t + _TIME_EPS:
             t_stop = min(cfg.t_end, t + _TIME_EPS * 10)
 
-        first = None
-        if prev_h is not None:
-            first = min(max(prev_h, 1e-14), t_stop - t)
-        solver = RK45(lambda tt, xx, _ctx=ctx: model.derivative(tt, xx, _ctx),
-                      t, x, t_bound=t_stop, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                      max_step=max_step, first_step=first)
-        stats["segments"] += 1
+        if f is None:
+            f = rhs(t, x, ctx)
+            rhs_calls += 1
+        if prev_h is None:
+            h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
+            rhs_calls += 1
+        else:
+            h_abs = min(max(prev_h, 1e-14), t_stop - t)
+        segments += 1
 
-        g_prev = float(x[0]) - l0
-        event_hit = False
-        while solver.status == "running":
-            solver.step()
-            if solver.status == "failed":
+        g_prev = x[0] - l0
+        while t < t_stop:
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs = min(max(h_abs, min_step), max_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(
+                        f"step size underflow at t = {t:.9f} s ({model.name})")
+                t_new = min(t + h_abs, t_stop)
+                h = h_abs = t_new - t
+                x_new, f_new, stages, err = _dp45_step(rhs, ctx, t, h, x, f, atol, rtol)
+                rhs_calls += 6
+                if err < 1.0:
+                    factor = _MAX_FACTOR if err == 0.0 else \
+                        min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+                rejected_total += 1
+            if not all(map(math.isfinite, x_new)):
                 raise IntegrationError(
-                    f"step size underflow at t = {solver.t:.9f} s ({model.name})")
-            if not np.all(np.isfinite(solver.y)):
-                raise IntegrationError(
-                    f"non-finite state at t = {solver.t:.9f} s ({model.name})")
-            stats["accepted_steps"] += 1
-            prev_h = solver.t - solver.t_old
-            dense = solver.dense_output()
-            g_new = float(solver.y[0]) - l0
+                    f"non-finite state at t = {t_new:.9f} s ({model.name})")
+            accepted += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            prev_h = h
+            g_new = x_new[0] - l0
 
             crossed = (not contact and g_prev > 0.0 and g_new <= 0.0) or \
                       (contact and g_prev < 0.0 and g_new >= 0.0)
             if crossed:
-                t_ev = solver.t if g_new == 0.0 else \
-                    _bisect_crossing(dense, l0, solver.t_old, solver.t)
-                rec.record_span(dense, solver.t_old, t_ev, ctx)
-                x_ev = model.clamp_state(np.asarray(dense(t_ev), dtype=float))
-                ydd_before = float(model.derivative(t_ev, x_ev, ctx)[1])
+                dense = _dense_output(t, h, x, stages)
+                t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
+                rec.record_span(dense, t, t_ev, ctx)
+                x_ev = model.clamp_state(dense(t_ev))
+                ydd_before = float(rhs(t_ev, x_ev, ctx)[1])
                 f_ev = model.leg_force(t_ev, x_ev, ctx)
                 history.append(t_ev, f_ev, _force_rate(model, t_ev, x_ev, ctx, f_ev))
                 # switch phase
@@ -455,7 +592,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                 else:
                     t_td = t_ev
                 ctx = StepContext(contact, t_td, history.at)
-                ydd_after = float(model.derivative(t_ev, x_ev, ctx)[1])
+                ydd_after = float(rhs(t_ev, x_ev, ctx)[1])
                 f_ev = model.leg_force(t_ev, x_ev, ctx)
                 history.append(t_ev, f_ev, _force_rate(model, t_ev, x_ev, ctx, f_ev))
                 # the force jump reaches the reflex delayed, as do the kinks
@@ -464,24 +601,25 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                     history.add_breakpoint(t_ev + k * delay)
                 events.append(TraceEvent(t_ev, kind, float(x_ev[0]), float(x_ev[1]),
                                          ydd_before, ydd_after))
-                t, x = t_ev, x_ev
-                event_hit = True
+                t, x, f = t_ev, x_ev, None
                 break
 
-            rec.record_span(dense, solver.t_old, solver.t, ctx)
-            x_acc = model.clamp_state(solver.y)
-            if x_acc is not solver.y:
-                solver.y = x_acc
-                solver.f = solver.fun(solver.t, x_acc)
-            f_acc = model.leg_force(solver.t, x_acc, ctx)
-            history.append(solver.t, f_acc,
-                           _force_rate(model, solver.t, x_acc, ctx, f_acc))
+            if rec.due(t_new):
+                rec.record_span(_dense_output(t, h, x, stages), t, t_new, ctx)
+            x_acc = model.clamp_state(x_new)
+            if x_acc is not x_new:
+                f_new = rhs(t_new, x_acc, ctx)
+                rhs_calls += 1
+            f_acc = model.leg_force(t_new, x_acc, ctx)
+            history.append(t_new, f_acc, _force_rate(model, t_new, x_acc, ctx, f_acc))
+            t, x, f = t_new, x_acc, f_new
             g_prev = g_new
-        stats["rhs_calls"] += solver.nfev
 
-        if not event_hit:
-            t, x = solver.t, model.clamp_state(solver.y)
-    return events, stats
+    return events, {"stepper": "rk45", "abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol,
+                    "max_step": cfg.max_step, "rhs_calls": rhs_calls,
+                    "accepted_steps": accepted, "rejected_steps": rejected_total,
+                    "segments": segments, "min_step_taken": h_min,
+                    "max_step_taken": h_max}
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +883,14 @@ def extract_stance_reference(trace: Trace) -> ReferenceTrajectory:
     # stance-side accelerations at the boundaries
     ydd = np.concatenate(([td.ydd_after], trace.ydd[inside], [lo.ydd_before]))
 
-    y_spline = CubicHermiteSpline(t_rel, y, yd)
-    yd_spline = CubicHermiteSpline(t_rel, yd, ydd)
-
     duration = float(lo.t - td.t)
     grid = np.arange(int(math.floor(duration * 1000.0 + 1e-9)) + 1) / 1000.0
     if duration - grid[-1] > 1e-9:
         grid = np.append(grid, duration)
-    return ReferenceTrajectory(
-        grid, y_spline(grid), yd_spline(grid), yd_spline.derivative()(grid))
+    i = np.clip(np.searchsorted(t_rel, grid, side="right") - 1, 0, t_rel.size - 2)
+    s = grid - t_rel[i]
+    y0, y1, y2, y3 = hermite_coeffs(t_rel, y, yd)[i].T
+    v0, v1, v2, v3 = hermite_coeffs(t_rel, yd, ydd)[i].T
+    return ReferenceTrajectory(grid, y0 + s * (y1 + s * (y2 + s * y3)),
+                               v0 + s * (v1 + s * (v2 + s * v3)),
+                               v1 + s * (2.0 * v2 + 3.0 * s * v3))

@@ -15,7 +15,9 @@ Only the leg-force law and its controller differ between models.  Each model
 exposes the right-hand side of its ODE plus accessors for the leg force, the
 controller output (the recorded action channel) and the sensor channels, all
 as pure functions of ``(t, state, ctx)`` where ``ctx`` carries the phase
-information maintained by the integrator.
+information maintained by the integrator.  A state is any sequence of three
+floats; ``derivative`` returns a plain 3-tuple, so the stepper never builds
+an array per stage.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -280,6 +282,22 @@ def motor_current_derivative(current: float, voltage: float, yd: float, p: DCMot
 # recorded stance reference (for the motor model)
 # ---------------------------------------------------------------------------
 
+def hermite_coeffs(knots: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the C1 cubic Hermite interpolant.
+
+    Row i holds (c0, c1, c2, c3) of c0 + c1 s + c2 s^2 + c3 s^3 in the local
+    time s = t - knots[i], which takes the given values and slopes at
+    ``knots[i]`` and ``knots[i + 1]``.
+    """
+    h = np.diff(knots)
+    v0, v1 = values[:-1], values[1:]
+    m0, m1 = slopes[:-1], slopes[1:]
+    delta = (v1 - v0) / h
+    c2 = (3.0 * delta - 2.0 * m0 - m1) / h
+    c3 = (-2.0 * delta + m0 + m1) / (h * h)
+    return np.column_stack([v0, m0, c2, c3])
+
+
 class ReferenceTrajectory:
     """Stance trajectory sampled at 1 kHz, time-indexed from touchdown.
 
@@ -302,18 +320,8 @@ class ReferenceTrajectory:
         if not (self.tau.shape == self.y.shape == self.yd.shape == self.ydd.shape):
             raise ValueError("reference channel lengths differ")
         self._tau_list = self.tau.tolist()
-        self._coeff_y = self._hermite_coeffs(self.tau, self.y, self.yd)
-        self._coeff_yd = self._hermite_coeffs(self.tau, self.yd, self.ydd)
-
-    @staticmethod
-    def _hermite_coeffs(tau, values, slopes):
-        h = np.diff(tau)
-        v0, v1 = values[:-1], values[1:]
-        m0, m1 = slopes[:-1], slopes[1:]
-        delta = (v1 - v0) / h
-        c2 = (3.0 * delta - 2.0 * m0 - m1) / h
-        c3 = (-2.0 * delta + m0 + m1) / (h * h)
-        return np.column_stack([v0, m0, c2, c3]).tolist()
+        self._coeff_y = hermite_coeffs(self.tau, self.y, self.yd).tolist()
+        self._coeff_yd = hermite_coeffs(self.tau, self.yd, self.ydd).tolist()
 
     @property
     def duration(self) -> float:
@@ -373,25 +381,27 @@ class HoppingModel:
     def initial_state(self) -> np.ndarray:
         raise NotImplementedError
 
-    def on_liftoff(self, x: np.ndarray) -> np.ndarray:
+    def on_liftoff(self, x: Sequence[float]) -> Sequence[float]:
         """State adjustment applied at the stance->flight transition."""
         return x
 
-    def clamp_state(self, x: np.ndarray) -> np.ndarray:
-        """Numerical safety clamp applied after accepted steps."""
+    def clamp_state(self, x: Sequence[float]) -> Sequence[float]:
+        """Numerical safety clamp applied after accepted steps; returns ``x``
+        itself when nothing is clamped."""
         return x
 
     # dynamics -------------------------------------------------------------
-    def derivative(self, t: float, x: np.ndarray, ctx: StepContext) -> np.ndarray:
+    def derivative(self, t: float, x: Sequence[float],
+                   ctx: StepContext) -> tuple[float, float, float]:
         raise NotImplementedError
 
-    def leg_force(self, t: float, x: np.ndarray, ctx: StepContext) -> float:
+    def leg_force(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         raise NotImplementedError
 
-    def control(self, t: float, x: np.ndarray, ctx: StepContext) -> float:
+    def control(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         raise NotImplementedError
 
-    def sensors(self, t: float, x: np.ndarray, ctx: StepContext) -> tuple[float, ...]:
+    def sensors(self, t: float, x: Sequence[float], ctx: StepContext) -> tuple[float, ...]:
         raise NotImplementedError
 
     def params_dict(self) -> dict:
@@ -422,39 +432,39 @@ class _MuscleModel(HoppingModel):
         # apex of the target periodic orbit, activation settled at baseline
         return np.array([1.070, 0.0, self.params.stim_base])
 
-    def clamp_state(self, x: np.ndarray) -> np.ndarray:
+    def clamp_state(self, x: Sequence[float]) -> Sequence[float]:
         if x[2] < 0.0 or x[2] > 1.0:
-            x = x.copy()
-            x[2] = min(max(x[2], 0.0), 1.0)
+            return (x[0], x[1], min(max(x[2], 0.0), 1.0))
         return x
 
-    def control(self, t: float, x: np.ndarray, ctx: StepContext) -> float:
+    def control(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         f_delayed = ctx.delayed_force(t - self.params.reflex_delay)
         return force_feedback_stimulation(f_delayed, self.params)
 
-    def _active_force(self, x: np.ndarray) -> float:
+    def _active_force(self, x: Sequence[float]) -> float:
         raise NotImplementedError
 
-    def leg_force(self, t: float, x: np.ndarray, ctx: StepContext) -> float:
+    def leg_force(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         if not ctx.contact:
             return 0.0
         return self._active_force(x)
 
-    def sensors(self, t: float, x: np.ndarray, ctx: StepContext) -> tuple[float, ...]:
+    def sensors(self, t: float, x: Sequence[float], ctx: StepContext) -> tuple[float, ...]:
         # The sensor state is the force as the reflex arc delivers it, i.e.
         # delayed by the feedback transport time: the policy is then a
         # deterministic function of the sensor value, which is what the
         # reactive-loop analysis assumes of these controllers.
         return (ctx.delayed_force(t - self.params.reflex_delay),)
 
-    def derivative(self, t: float, x: np.ndarray, ctx: StepContext) -> np.ndarray:
+    def derivative(self, t: float, x: Sequence[float],
+                   ctx: StepContext) -> tuple[float, float, float]:
         y, yd, act = x
         u = self.control(t, x, ctx)
         if ctx.contact:
             ydd = -self.common.gravity + self._active_force(x) / self.common.mass
         else:
             ydd = -self.common.gravity
-        return np.array([yd, ydd, activation_derivative(act, u, self.params.act_tau)])
+        return (yd, ydd, activation_derivative(act, u, self.params.act_tau))
 
     def params_dict(self) -> dict:
         out = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
@@ -473,7 +483,7 @@ class MusFibModel(_MuscleModel):
                  params: MusFibParams | None = None):
         super().__init__(common or HopperCommon(), params or MusFibParams())
 
-    def _active_force(self, x: np.ndarray) -> float:
+    def _active_force(self, x: Sequence[float]) -> float:
         # in contact the fiber follows the leg: l_m = y, v_m = yd
         return x[2] * fiber_force(x[0], x[1], self.params)
 
@@ -488,7 +498,7 @@ class MusLinModel(_MuscleModel):
                  params: MusLinParams | None = None):
         super().__init__(common or HopperCommon(), params or MusLinParams())
 
-    def _active_force(self, x: np.ndarray) -> float:
+    def _active_force(self, x: Sequence[float]) -> float:
         return linear_fiber_force(x[1], x[2], self.params)
 
 
@@ -524,21 +534,22 @@ class DCMotModel(HoppingModel):
         x[2] = 0.0
         return x
 
-    def control(self, t: float, x: np.ndarray, ctx: StepContext) -> float:
+    def control(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         if not ctx.contact:
             return 0.0
         y_ref, yd_ref = self.reference.value(t - ctx.t_touchdown)
         return pd_voltage(x[0], x[1], y_ref, yd_ref, self.params)
 
-    def leg_force(self, t: float, x: np.ndarray, ctx: StepContext) -> float:
+    def leg_force(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         if not ctx.contact:
             return 0.0
         return self.params.gear_ratio * self.params.torque_const * x[2]
 
-    def sensors(self, t: float, x: np.ndarray, ctx: StepContext) -> tuple[float, ...]:
+    def sensors(self, t: float, x: Sequence[float], ctx: StepContext) -> tuple[float, ...]:
         return (float(x[0]), float(x[1]))
 
-    def derivative(self, t: float, x: np.ndarray, ctx: StepContext) -> np.ndarray:
+    def derivative(self, t: float, x: Sequence[float],
+                   ctx: StepContext) -> tuple[float, float, float]:
         y, yd, current = x
         if ctx.contact:
             u = self.control(t, x, ctx)
@@ -547,7 +558,7 @@ class DCMotModel(HoppingModel):
         else:
             didt = 0.0
             ydd = -self.common.gravity
-        return np.array([yd, ydd, didt])
+        return (yd, ydd, didt)
 
     def params_dict(self) -> dict:
         out = {f.name: getattr(self.params, f.name) for f in fields(self.params)}

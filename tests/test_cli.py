@@ -1,10 +1,15 @@
 """Command-line interface: verbs, exit codes, file outputs, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopmc
 from hopmc.cli import main
 from hopmc.integrator import load_trace
 
@@ -62,6 +67,8 @@ class TestSimulate:
         trace = load_trace(tmp_path / "trace_dcmot.csv")
         assert trace.sensor_names == ("y", "yd")
         assert len(trace) == 2001
+        # the exact stance path has no tolerances or step size to report
+        assert "abs_tol" not in trace.meta
 
     def test_dcmot_reuses_cached_musfib_trace(self, trace_dir, tmp_path, capsys):
         _copy_traces(trace_dir, tmp_path, names=("musfib",))
@@ -194,3 +201,15 @@ class TestReport:
         assert rc == 1
         assert "warp_drive" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestImportBudget:
+    def test_cli_loads_no_scipy_integrate_or_interpolate(self):
+        # only scipy.linalg is needed; the two others would double the import time
+        code = ("import hopmc.cli, sys; print(' '.join(m for m in "
+                "('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+        src = str(Path(hopmc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == ""

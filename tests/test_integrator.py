@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 
 from hopmc.integrator import (
@@ -66,6 +67,24 @@ class _BlowUpModel(_DecayModel):
         return np.array([0.0, 0.0, 0.0])
 
 
+class _VanDerPolModel(_DecayModel):
+    """A Van der Pol oscillator about y = 2 driving a first-order lag; it
+    stays clear of the ground, and its first large step is rejected."""
+
+    name = "vanderpol"
+    sensor_names = ("lag",)
+
+    def initial_state(self):
+        return np.array([4.0, 0.0, 0.0])
+
+    def derivative(self, t, x, ctx):
+        y, yd, lag = x
+        return (yd, 3.0 * (1.0 - (y - 2.0) ** 2) * yd - (y - 2.0), y - lag)
+
+    def sensors(self, t, x, ctx):
+        return (x[2],)
+
+
 class TestSolverAccuracy:
     def test_exponential_decay(self):
         cfg = IntegratorConfig(t_end=1.0)
@@ -88,6 +107,26 @@ class TestSolverAccuracy:
         np.testing.assert_allclose(np.diff(trace.t), 1e-3, rtol=1e-12)
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestPortFidelity:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_matches_scipy_rk45(self, tol):
+        """Same Dormand-Prince pair, controller and dense output as scipy's
+        RK45: equal RHS counts and samples equal to rounding."""
+        model = _VanDerPolModel()
+        cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, t_end=1.0, max_step=0.5)
+        trace = integrate(model, cfg)
+        ctx = StepContext(False)
+        sol = solve_ivp(lambda t, x: np.array(model.derivative(t, x, ctx)), (0.0, 1.0),
+                        model.initial_state(), method="RK45", rtol=tol, atol=tol,
+                        max_step=0.5, t_eval=trace.t)
+        assert trace.meta["rhs_calls"] == sol.nfev
+        assert trace.meta["rejected_steps"] >= 1
+        ours = (trace.y, trace.yd, trace.sensors[:, 0])
+        for mine, theirs in zip(ours, sol.y):
+            gap = np.abs(mine - theirs).max() / np.abs(theirs).max()
+            assert gap <= 1e-14
 
 
 class TestAborts:
@@ -253,10 +292,18 @@ class TestCsvRoundTrip:
         assert t1.meta == t2.meta
         assert t1.meta["stepper"] == "rk45"
         assert t1.meta["rhs_calls"] > t1.meta["accepted_steps"] >= t1.meta["segments"] >= 1
+        # six stage evaluations per step tried, accepted or rejected
+        assert t1.meta["rhs_calls"] >= 6 * (t1.meta["accepted_steps"]
+                                            + t1.meta["rejected_steps"])
+        # a step is t_new - t, which may exceed its nominal size by the
+        # rounding of t_new
+        assert (0.0 < t1.meta["min_step_taken"] <= t1.meta["max_step_taken"]
+                <= t1.meta["max_step"] + math.ulp(cfg.t_end))
         motor = [integrate(DCMotModel(pipeline.reference), cfg) for _ in range(2)]
         assert motor[0].meta == motor[1].meta
         assert motor[0].meta["stepper"] == "exact-stance"
         assert motor[0].meta["intervals"] > 0
+        assert "abs_tol" not in motor[0].meta and "rejected_steps" not in motor[0].meta
 
 
 class TestForceHistory:
@@ -326,6 +373,24 @@ class TestStanceReference:
         tau = pipeline.reference.tau
         assert tau[0] == 0.0
         np.testing.assert_allclose(np.diff(tau)[:-1], 1e-3, rtol=1e-9)
+
+    def test_matches_scipy_hermite_splines(self, pipeline):
+        """Oracle: the same C1 splines through the stance samples, built
+        with scipy's CubicHermiteSpline."""
+        trace, ref = pipeline.traces["musfib"], pipeline.reference
+        td, lo = [(a, b) for a, b in zip(trace.events, trace.events[1:])
+                  if a.kind == "touchdown" and b.kind == "liftoff"][-1]
+        inside = (trace.t > td.t) & (trace.t < lo.t)
+        t_rel = np.concatenate(([0.0], trace.t[inside] - td.t, [lo.t - td.t]))
+        y = np.concatenate(([td.y], trace.y[inside], [lo.y]))
+        yd = np.concatenate(([td.yd], trace.yd[inside], [lo.yd]))
+        ydd = np.concatenate(([td.ydd_after], trace.ydd[inside], [lo.ydd_before]))
+        y_spline = CubicHermiteSpline(t_rel, y, yd)
+        yd_spline = CubicHermiteSpline(t_rel, yd, ydd)
+        np.testing.assert_allclose(ref.y, y_spline(ref.tau), rtol=1e-14)
+        np.testing.assert_allclose(ref.yd, yd_spline(ref.tau), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ref.ydd, yd_spline.derivative()(ref.tau),
+                                   rtol=0, atol=1e-11)
 
     def test_needs_two_stances(self):
         trace = integrate(make_model("musfib"), IntegratorConfig(t_end=0.5))
