@@ -32,18 +32,9 @@ from .discretize import (
     build_discrete_trace,
     compute_domains,
 )
-from .infotheory import (
-    SparseJoint,
-    conditional_entropy,
-    conditional_mutual_information,
-    entropy,
-    estimate_joint,
-    mutual_information,
-)
 from .measures import (
     MeasureResult,
     compute_measures,
-    deterministic_diagnostics,
     mc_mi,
     mc_mi_state,
     mc_w,

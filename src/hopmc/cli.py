@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .discretize import BinningSpec, build_discrete_trace, compute_domains
+from .discretize import BinningSpec, DiscreteTrace, build_discrete_trace, compute_domains
 from .integrator import (
     IntegrationError,
     IntegratorConfig,
@@ -38,9 +38,11 @@ from .measures import (
 )
 from .models import (
     MODEL_NAMES,
+    HoppingModel,
     ReferenceTrajectory,
     load_config,
     make_model,
+    model_parts,
     parameter_names,
 )
 from . import integrator
@@ -160,9 +162,10 @@ def _load_traces(paths) -> list[Trace]:
     return traces
 
 
-def _measure_all(traces: list[Trace], bins: int) -> list[MeasureResult]:
+def _discretize(traces: list[Trace], bins: int) -> tuple[BinningSpec, list[DiscreteTrace]]:
+    """The shared binning spec and each trace's discrete form, built once."""
     spec = compute_domains(traces, bins=bins)
-    return [compute_measures(build_discrete_trace(t, spec)) for t in traces]
+    return spec, [build_discrete_trace(t, spec) for t in traces]
 
 
 _TABLE_ROWS = [
@@ -187,14 +190,12 @@ def _print_table(results: list[MeasureResult], bins: int) -> None:
         print(f"{label:<22}{cells}")
 
 
-def _write_state_series(trace: Trace, spec: BinningSpec, out: Path,
-                        smooth_block: int) -> Path:
-    d = build_discrete_trace(trace, spec)
+def _write_state_series(d: DiscreteTrace, out: Path, smooth_block: int) -> Path:
     w_series = mc_w_state(d)
     mi_series = mc_mi_state(d)
     w_smooth = moving_average(w_series, smooth_block)
     mi_smooth = moving_average(mi_series, smooth_block)
-    path = out / f"mc_state_{trace.model}.csv"
+    path = out / f"mc_state_{d.model}.csv"
     lines = ["t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact"]
     for i in range(len(d)):
         cells = [format(v, ".17g") for v in
@@ -208,15 +209,12 @@ def _write_state_series(trace: Trace, spec: BinningSpec, out: Path,
 def cmd_measure(args) -> int:
     if args.smooth_block < 1 or args.smooth_block % 2 == 0:
         raise ValueError(f"--smooth-block must be odd, got {args.smooth_block}")
-    traces = _load_traces(args.traces)
-    results = _measure_all(traces, args.bins)
-    _print_table(results, args.bins)
+    _, discrete = _discretize(_load_traces(args.traces), args.bins)
+    _print_table([compute_measures(d) for d in discrete], args.bins)
     if args.state_series:
         args.out.mkdir(parents=True, exist_ok=True)
-        spec = compute_domains(traces, bins=args.bins)
-        for trace in traces:
-            path = _write_state_series(trace, spec, args.out, args.smooth_block)
-            print(f"wrote {path}")
+        for d in discrete:
+            print(f"wrote {_write_state_series(d, args.out, args.smooth_block)}")
     return EXIT_OK
 
 
@@ -232,7 +230,8 @@ def cmd_sweep_bins(args) -> int:
     lines = ["model,bins,mc_w,mc_mi"]
     print(f"{'model':<10}{'bins':>6}{'mc_w':>12}{'mc_mi':>12}")
     for bins in bin_list:
-        for res in _measure_all(traces, bins):
+        _, discrete = _discretize(traces, bins)
+        for res in map(compute_measures, discrete):
             lines.append(f"{res.model},{bins},"
                          f"{format(res.mc_w, '.17g')},{format(res.mc_mi, '.17g')}")
             print(f"{res.model:<10}{bins:>6}{res.mc_w:>12.4f}{res.mc_mi:>12.4f}")
@@ -252,17 +251,43 @@ def _scope_overrides(overrides: dict[str, float]) -> dict[str, dict[str, float]]
     return {m: {k: v for k, v in overrides.items() if k in names[m]} for m in MODEL_NAMES}
 
 
+def _cached_traces(out: Path, duration: float,
+                   overrides: dict[str, dict[str, float]]) -> dict[str, Trace]:
+    """The trace files in ``out`` that this report can reuse.  A trace whose
+    sidecar records another ``t_end`` or other ``params`` than this run
+    would simulate is an error, naming the file and the first differing key."""
+    cached = {}
+    for name in MODEL_NAMES:
+        path = _trace_path(out, name)
+        if not path.exists():
+            continue
+        trace = load_trace(path)
+        params = HoppingModel(*model_parts(name, overrides[name])).params_dict()
+        want = {"t_end": duration, **{f"params.{k}": v for k, v in params.items()}}
+        have = {"t_end": trace.meta.get("t_end"),
+                **{f"params.{k}": v for k, v in trace.meta.get("params", {}).items()}}
+        stale = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+        if stale:
+            key = stale[0]
+            raise ValueError(f"cached {path} has {key} = {have.get(key)!r} but this report "
+                             f"needs {want.get(key)!r}; remove the file or rerun with the "
+                             f"options that made it")
+        cached[name] = trace
+    return cached
+
+
 def cmd_report(args) -> int:
     if args.smooth_block < 1 or args.smooth_block % 2 == 0:
         raise ValueError(f"--smooth-block must be odd, got {args.smooth_block}")
     overrides = _scope_overrides(load_config(args.config) if args.config else {})
+    cached = _cached_traces(args.out, args.duration, overrides)
     args.out.mkdir(parents=True, exist_ok=True)
     traces = []
     for name in MODEL_NAMES:
         path = _trace_path(args.out, name)
-        if path.exists():
+        if name in cached:
             print(f"using cached {path}")
-            traces.append(load_trace(path))
+            traces.append(cached[name])
             continue
         trace = _simulate_model(name, args.out, args.duration, overrides[name], None)
         trace.save(path)
@@ -270,14 +295,13 @@ def cmd_report(args) -> int:
               f"{trace.meta['max_height_post_transient']:.4f} m)")
         traces.append(trace)
 
-    results = _measure_all(traces, args.bins)
+    spec, discrete = _discretize(traces, args.bins)
+    results = [compute_measures(d) for d in discrete]
     _print_table(results, args.bins)
-    spec = compute_domains(traces, bins=args.bins)
     spec.save(args.out / "binning_spec.txt")
     if args.state_series:
-        for trace in traces:
-            path = _write_state_series(trace, spec, args.out, args.smooth_block)
-            print(f"wrote {path}")
+        for d in discrete:
+            print(f"wrote {_write_state_series(d, args.out, args.smooth_block)}")
     summary = {
         "bins": args.bins,
         "series_window": "full run including the initial transient",

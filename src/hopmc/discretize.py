@@ -31,7 +31,6 @@ __all__ = [
     "compute_domains",
     "discretize_channel",
     "combine_symbols",
-    "decompose_symbols",
     "normalize_action",
     "build_discrete_trace",
     "DEFAULT_BINS",
@@ -73,31 +72,12 @@ class BinningSpec:
         except KeyError:
             raise DomainError(f"no domain for channel {name!r}") from None
 
-    def with_bins(self, bins: int, overrides: dict[str, int] | None = None) -> "BinningSpec":
-        """Same domains, different bin counts (per-channel overrides win)."""
-        overrides = overrides or {}
-        return BinningSpec({
-            name: ChannelDomain(d.lo, d.hi, overrides.get(name, bins))
-            for name, d in self.channels.items()
-        })
-
     def save(self, path: str | Path) -> None:
         lines = ["# channel lo hi bins"]
         for name in sorted(self.channels):
             d = self.channels[name]
             lines.append(f"{name} {d.lo!r} {d.hi!r} {d.bins}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BinningSpec":
-        channels: dict[str, ChannelDomain] = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, lo, hi, bins = line.split()
-            channels[name] = ChannelDomain(float(lo), float(hi), int(bins))
-        return cls(channels)
 
 
 def normalize_action(action: np.ndarray, action_kind: str) -> np.ndarray:
@@ -128,8 +108,7 @@ def _trace_channels(trace: Trace) -> dict[str, np.ndarray]:
     return channels
 
 
-def compute_domains(traces: Sequence[Trace], bins: int = DEFAULT_BINS,
-                    overrides: dict[str, int] | None = None) -> BinningSpec:
+def compute_domains(traces: Sequence[Trace], bins: int = DEFAULT_BINS) -> BinningSpec:
     """Per-channel min/max over the union of all traces' data."""
     if not traces:
         raise ValueError("need at least one trace")
@@ -140,13 +119,12 @@ def compute_domains(traces: Sequence[Trace], bins: int = DEFAULT_BINS,
             dmin, dmax = float(np.min(data)), float(np.max(data))
             lo[name] = min(lo.get(name, dmin), dmin)
             hi[name] = max(hi.get(name, dmax), dmax)
-    overrides = overrides or {}
     channels = {}
     for name in lo:
         if not lo[name] < hi[name]:
             raise DomainError(
                 f"channel {name!r} has zero range (constant value {lo[name]!r})")
-        channels[name] = ChannelDomain(lo[name], hi[name], overrides.get(name, bins))
+        channels[name] = ChannelDomain(lo[name], hi[name], bins)
     return BinningSpec(channels)
 
 
@@ -175,16 +153,6 @@ def combine_symbols(symbols: Sequence[np.ndarray], bases: Sequence[int]) -> np.n
         out = out + place * sym
         place *= int(base)
     return out
-
-
-def decompose_symbols(combined: np.ndarray, bases: Sequence[int]) -> list[np.ndarray]:
-    """Inverse of :func:`combine_symbols`."""
-    rest = np.asarray(combined, dtype=np.int64)
-    parts = []
-    for base in bases:
-        parts.append(rest % base)
-        rest = rest // base
-    return parts
 
 
 @dataclass

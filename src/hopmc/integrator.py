@@ -83,7 +83,6 @@ class IntegratorConfig:
     t_end: float = 8.0
     sample_rate: float = 1000.0
     max_step: float = 0.01
-    initial_step: float | None = None
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -526,7 +525,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
     rec.record_state(t, x, ctx)
 
     f = None                  # rhs(t, x), unknown at the start and after events
-    prev_h: float | None = cfg.initial_step
+    prev_h: float | None = None
     while t < cfg.t_end - _TIME_EPS:
         t_stop = cfg.t_end
         if delay > 0.0:

@@ -3,52 +3,39 @@
 Two aggregate measures are computed from the aligned (w', w, s, a) symbol
 sequences of one behavior:
 
-* ``mc_w``   -- the conditional mutual information I(W';W|A): how much the
-  previous world state tells about the next one beyond what the action
-  already determines.  Zero iff the world dynamics collapse to p(w'|a).
-* ``mc_mi``  -- behavior complexity minus controller complexity,
-  I(W';W) - I(A;S), assembled from the four entropies
-  H(W') - H(W'|W) - H(A) + H(A|S).
+* ``mc_w``  -- I(W';W|A): how much the previous world state tells about the
+  next one beyond what the action already determines.
+* ``mc_mi`` -- behavior minus controller complexity, I(W';W) - I(A;S),
+  assembled as H(W') - H(W'|W) - H(A) + H(A|S).
 
-Both have state-dependent counterparts: per-step log-ratio contributions
-whose arithmetic mean over the trace equals the aggregate value.  Note the
-w-part of the per-step ``mc_mi`` contribution is log2 p(w'|w) - log2 p(w');
-this orientation is what makes the mean reproduce I(W';W) - I(A;S).
-
-Every queried tuple was observed, so all involved conditional probabilities
-are strictly positive and the state series are finite by construction.
-
-For exactly deterministic symbolic systems (w' = f(w,a), a = g(s), s = h(w))
-the conditional entropy of W' given W vanishes, hence I(W';A|W) = 0, and
-MC_W - MC_MI equals H(A|W').  On discretized physical data both identities
-hold only approximately because binning introduces apparent stochasticity;
-``deterministic_diagnostics`` reports the two residuals.
+Everything rests on one counting primitive: for each sample, how often its
+joint symbol tuple occurs.  A probability ratio of the plug-in estimate is
+then a ratio of integer count products at that sample, and its log2 is the
+sample's contribution: the state-dependent series are these contributions,
+and each aggregate is their ``math.fsum`` mean.  (The w-part of the per-step
+``mc_mi`` is log2 p(w'|w) - log2 p(w'), the orientation whose mean gives
+I(W';W) - I(A;S).)  The products stay far below 2**53, so a ratio that
+equals 1 gives exactly 0.0: on deterministic symbolic systems (w' = f(w,a),
+a = g(s), s = h(w)) H(W'|W), H(A|S) and I(W';A|W) are exactly zero, and
+MC_W - MC_MI = H(A|W') up to rounding.  On binned physical data these hold
+only approximately; the result carries both residuals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .discretize import DiscreteTrace
-from .infotheory import (
-    SparseJoint,
-    conditional_entropy,
-    conditional_mutual_information,
-    entropy,
-    estimate_joint,
-)
 
 __all__ = [
     "MeasureResult",
-    "Diagnostics",
     "mc_w",
     "mc_w_state",
     "mc_mi",
     "mc_mi_state",
-    "deterministic_diagnostics",
     "moving_average",
     "compute_measures",
 ]
@@ -70,77 +57,50 @@ class MeasureResult:
     residual: float       # mc_w - mc_mi - H(A|W'); ~0 for deterministic data
 
 
-class Diagnostics(NamedTuple):
-    i_wnext_a_given_w: float
-    residual: float
-
-
-def _joint_wwa(d: DiscreteTrace) -> SparseJoint:
-    return estimate_joint([d.w_next, d.w, d.a])
-
-
-def mc_w(d: DiscreteTrace) -> float:
-    """I(W';W|A) in bits over the empirical (w', w, a) joint."""
+def _labels(d: DiscreteTrace) -> list[np.ndarray]:
+    """Dense labels 0..k-1 of the w', w, s and a columns, in symbol order."""
     if len(d) == 0:
         raise ValueError("empty discrete trace")
-    return conditional_mutual_information(_joint_wwa(d), (0,), (1,), (2,))
+    return [np.unique(col, return_inverse=True)[1] for col in (d.w_next, d.w, d.s, d.a)]
 
 
-def _lookup(counts: dict, keys: list[tuple[int, ...]]) -> np.ndarray:
-    return np.array([counts[k] for k in keys], dtype=float)
+def _counts(*labels: np.ndarray) -> np.ndarray:
+    """For each sample, the number of samples with the same label tuple."""
+    key = labels[0]
+    for col in labels[1:]:
+        # both factors are below n, so the folded key stays below n**2
+        _, key = np.unique(key * (col.max() + 1) + col, return_inverse=True)
+    return np.bincount(key)[key]
+
+
+def _mean_log2(ratio: np.ndarray) -> float:
+    return math.fsum(np.log2(ratio).tolist()) / ratio.size
 
 
 def mc_w_state(d: DiscreteTrace) -> np.ndarray:
     """Per-step contribution log2 [p(w'|w,a) / p(w'|a)]; mean equals mc_w."""
-    if len(d) == 0:
-        raise ValueError("empty discrete trace")
-    joint = _joint_wwa(d)
-    c_wwa = joint.counts
-    c_wa = joint.marginal_counts((1, 2))
-    c_wna = joint.marginal_counts((0, 2))
-    c_a = joint.marginal_counts((2,))
-    wn, w, a = (x.tolist() for x in (d.w_next, d.w, d.a))
-    num = _lookup(c_wwa, list(zip(wn, w, a))) * _lookup(c_a, [(v,) for v in a])
-    den = _lookup(c_wa, list(zip(w, a))) * _lookup(c_wna, list(zip(wn, a)))
-    return np.log2(num / den)
+    wn, w, _, a = _labels(d)
+    return np.log2(_counts(wn, w, a) * _counts(a) / (_counts(w, a) * _counts(wn, a)))
 
 
-def mc_mi(d: DiscreteTrace) -> float:
-    """I(W';W) - I(A;S) in bits, assembled from the four entropy terms."""
-    return compute_measures(d).mc_mi
+def mc_w(d: DiscreteTrace) -> float:
+    """I(W';W|A) in bits over the empirical (w', w, a) joint."""
+    return math.fsum(mc_w_state(d).tolist()) / len(d)
 
 
 def mc_mi_state(d: DiscreteTrace) -> np.ndarray:
     """Per-step contribution whose mean equals ``mc_mi``:
     log2 p(w'|w) - log2 p(w') + log2 p(a) - log2 p(a|s)."""
-    if len(d) == 0:
-        raise ValueError("empty discrete trace")
-    n = float(len(d))
-    joint_ww = estimate_joint([d.w_next, d.w])
-    joint_as = estimate_joint([d.a, d.s])
-    c_ww = joint_ww.counts
-    c_w = joint_ww.marginal_counts((1,))
-    c_wn = joint_ww.marginal_counts((0,))
-    c_as = joint_as.counts
-    c_s = joint_as.marginal_counts((1,))
-    c_a = joint_as.marginal_counts((0,))
-    wn, w, a, s = (x.tolist() for x in (d.w_next, d.w, d.a, d.s))
-    world = np.log2(_lookup(c_ww, list(zip(wn, w))) * n /
-                    (_lookup(c_w, [(v,) for v in w]) * _lookup(c_wn, [(v,) for v in wn])))
-    ctrl = np.log2(_lookup(c_a, [(v,) for v in a]) *
-                   _lookup(c_s, [(v,) for v in s]) /
-                   (_lookup(c_as, list(zip(a, s))) * n))
+    n = len(d)
+    wn, w, s, a = _labels(d)
+    world = np.log2(_counts(wn, w) * n / (_counts(w) * _counts(wn)))
+    ctrl = np.log2(_counts(a) * _counts(s) / (_counts(a, s) * n))
     return world + ctrl
 
 
-def deterministic_diagnostics(d: DiscreteTrace) -> Diagnostics:
-    """I(W';A|W) and the residual MC_W - MC_MI - H(A|W').
-
-    Both vanish on exactly deterministic symbolic data; on binned physical
-    data they quantify the stochasticity introduced by discretization.
-    """
-    res = compute_measures(d)
-    return Diagnostics(res.i_wnext_a_given_w, res.residual)
+def mc_mi(d: DiscreteTrace) -> float:
+    """I(W';W) - I(A;S) in bits, assembled from the four entropy terms."""
+    return compute_measures(d).mc_mi
 
 
 def moving_average(x: np.ndarray, block: int = 5) -> np.ndarray:
@@ -161,23 +121,19 @@ def moving_average(x: np.ndarray, block: int = 5) -> np.ndarray:
 
 
 def compute_measures(d: DiscreteTrace) -> MeasureResult:
-    """All aggregate quantities for one discrete trace."""
-    if len(d) == 0:
-        raise ValueError("empty discrete trace")
-    joint_wwa = _joint_wwa(d)
-    joint_ww = estimate_joint([d.w_next, d.w])
-    joint_as = estimate_joint([d.a, d.s])
-    joint_awn = estimate_joint([d.a, d.w_next])
-
-    mcw = conditional_mutual_information(joint_wwa, (0,), (1,), (2,))
-    h_wnext = entropy(joint_ww, (0,))
-    h_wnext_given_w = conditional_entropy(joint_ww, (0,), (1,))
-    h_a = entropy(joint_as, (0,))
-    h_a_given_s = conditional_entropy(joint_as, (0,), (1,))
+    """All aggregate quantities for one discrete trace, each the fsum mean
+    of its per-sample log-ratio."""
+    n = len(d)
+    wn, w, s, a = _labels(d)
+    c_wn, c_w, c_a = _counts(wn), _counts(w), _counts(a)
+    c_ww, c_wa, c_wna, c_wwa = _counts(wn, w), _counts(w, a), _counts(wn, a), _counts(wn, w, a)
+    mcw = _mean_log2(c_wwa * c_a / (c_wa * c_wna))
+    h_wnext = _mean_log2(n / c_wn)
+    h_wnext_given_w = _mean_log2(c_w / c_ww)
+    h_a = _mean_log2(n / c_a)
+    h_a_given_s = _mean_log2(_counts(s) / _counts(a, s))
     mcmi = h_wnext - h_wnext_given_w - h_a + h_a_given_s
-    i_wa_g_w = conditional_mutual_information(joint_wwa, (0,), (2,), (1,))
-    h_a_given_wnext = conditional_entropy(joint_awn, (0,), (1,))
-
+    h_a_given_wnext = _mean_log2(c_wn / c_wna)
     return MeasureResult(
         model=d.model,
         mc_w=mcw,
@@ -186,7 +142,8 @@ def compute_measures(d: DiscreteTrace) -> MeasureResult:
         h_wnext_given_w=h_wnext_given_w,
         h_a=h_a,
         h_a_given_s=h_a_given_s,
-        i_wnext_a_given_w=i_wa_g_w,
+        # I(W';A|W) is the mean of log2 [p(w'|w,a) / p(w'|w)]
+        i_wnext_a_given_w=_mean_log2(c_wwa * c_w / (c_ww * c_wa)),
         h_a_given_wnext=h_a_given_wnext,
         residual=mcw - mcmi - h_a_given_wnext,
     )

@@ -361,15 +361,16 @@ class HoppingModel:
 
     State layout is ``[y, yd, aux]`` where aux is the muscle activation for
     the muscle models and the winding current for the motor model.
+    ``params`` is the actuator's parameter dataclass.
     """
 
     name: str = ""
     action_kind: str = ""                  # "muscle" or "motor", sets normalization
     sensor_names: tuple[str, ...] = ()
-    state_names: tuple[str, ...] = ()
 
-    def __init__(self, common: HopperCommon):
+    def __init__(self, common: HopperCommon, params=None):
         self.common = common
+        self.params = params
 
     # delay handling -------------------------------------------------------
     @property
@@ -405,7 +406,12 @@ class HoppingModel:
         raise NotImplementedError
 
     def params_dict(self) -> dict:
-        raise NotImplementedError
+        """The model's parameters and the shared hopper's, as trace sidecars
+        record them."""
+        out = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
+        out.update(mass=self.common.mass, gravity=self.common.gravity,
+                   rest_length=self.common.rest_length)
+        return out
 
     def stance_system(self) -> LinearStance | None:
         """Linear stance dynamics for exact propagation, or None when the
@@ -418,11 +424,6 @@ class _MuscleModel(HoppingModel):
 
     action_kind = "muscle"
     sensor_names = ("f_leg",)
-    state_names = ("y", "yd", "activation")
-
-    def __init__(self, common: HopperCommon, params: MusFibParams | MusLinParams):
-        super().__init__(common)
-        self.params = params
 
     @property
     def history_delay(self) -> float:
@@ -466,12 +467,6 @@ class _MuscleModel(HoppingModel):
             ydd = -self.common.gravity
         return (yd, ydd, activation_derivative(act, u, self.params.act_tau))
 
-    def params_dict(self) -> dict:
-        out = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
-        out.update(mass=self.common.mass, gravity=self.common.gravity,
-                   rest_length=self.common.rest_length)
-        return out
-
 
 class MusFibModel(_MuscleModel):
     """Hopper driven by the nonlinear muscle-fiber force law."""
@@ -514,7 +509,7 @@ class DCMotModel(HoppingModel):
     name = "dcmot"
     action_kind = "motor"
     sensor_names = ("y", "yd")
-    state_names = ("y", "yd", "current")
+    params: DCMotParams
 
     def __init__(self, reference: ReferenceTrajectory,
                  params: DCMotParams | None = None,
@@ -522,8 +517,7 @@ class DCMotModel(HoppingModel):
         params = params or DCMotParams()
         if common is None:
             common = HopperCommon(mass=params.body_mass)
-        super().__init__(common)
-        self.params = params
+        super().__init__(common, params)
         self.reference = reference
 
     def initial_state(self) -> np.ndarray:
@@ -559,12 +553,6 @@ class DCMotModel(HoppingModel):
             didt = 0.0
             ydd = -self.common.gravity
         return (yd, ydd, didt)
-
-    def params_dict(self) -> dict:
-        out = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
-        out.update(mass=self.common.mass, gravity=self.common.gravity,
-                   rest_length=self.common.rest_length)
-        return out
 
     def stance_system(self) -> LinearStance:
         """The stance as x' = A x + drift + b r(s), with the PD voltage
@@ -618,9 +606,10 @@ def parameter_names(name: str) -> set[str]:
     return {f.name for f in fields(_PARAM_TYPES[name])} | _COMMON_FIELDS
 
 
-def make_model(name: str, overrides: dict[str, float] | None = None,
-               reference: ReferenceTrajectory | None = None) -> HoppingModel:
-    """Build a model from its name and optional parameter overrides."""
+def model_parts(name: str, overrides: dict[str, float] | None = None
+                ) -> tuple[HopperCommon, MusFibParams | MusLinParams | DCMotParams]:
+    """The shared hopper and the parameter set of model ``name`` under the
+    given overrides, as :func:`make_model` builds them."""
     name = name.lower()
     if name not in _PARAM_TYPES:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
@@ -632,14 +621,21 @@ def make_model(name: str, overrides: dict[str, float] | None = None,
     if overrides:
         raise ValueError(f"unknown parameter(s) for {name}: {sorted(overrides)}")
     params = param_type(**param_kwargs)
+    if name == "dcmot":
+        # the motor hopper carries the scaled-down body mass unless overridden
+        common_kwargs.setdefault("mass", params.body_mass)
+    return HopperCommon(**common_kwargs), params
+
+
+def make_model(name: str, overrides: dict[str, float] | None = None,
+               reference: ReferenceTrajectory | None = None) -> HoppingModel:
+    """Build a model from its name and optional parameter overrides."""
+    common, params = model_parts(name, overrides)
+    name = name.lower()
     if name == "musfib":
-        return MusFibModel(HopperCommon(**common_kwargs), params)
+        return MusFibModel(common, params)
     if name == "muslin":
-        return MusLinModel(HopperCommon(**common_kwargs), params)
+        return MusLinModel(common, params)
     if reference is None:
         raise ValueError("dcmot requires a stance reference trajectory")
-    common = None
-    if common_kwargs:
-        common_kwargs.setdefault("mass", params.body_mass)
-        common = HopperCommon(**common_kwargs)
     return DCMotModel(reference, params, common)

@@ -10,7 +10,7 @@ import numpy as np
 from hopmc import build_discrete_trace, compute_domains
 from hopmc.discretize import DiscreteTrace
 from hopmc.integrator import IntegratorConfig, contact_segments, integrate
-from hopmc.measures import deterministic_diagnostics, mc_mi, mc_w, moving_average
+from hopmc.measures import compute_measures, mc_mi, mc_w, moving_average
 from hopmc.models import DCMotParams, MusFibParams, fiber_force, make_model
 
 from conftest import MODELS, TRANSIENT
@@ -165,7 +165,7 @@ def test_criterion_7_appendix_identities(pipeline):
     worst_resid = 0.0
     for _ in range(50):
         d = _deterministic_loop(rng)
-        diag = deterministic_diagnostics(d)
+        diag = compute_measures(d)
         ok &= diag.i_wnext_a_given_w == 0.0
         worst_resid = max(worst_resid, abs(diag.residual))
     ok &= worst_resid <= 1e-12

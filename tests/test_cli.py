@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,29 @@ class TestReport:
             assert load_trace(out / f"trace_{name}.csv").meta["params"]["f_max"] == 2600.0
         assert "f_max" not in load_trace(out / "trace_dcmot.csv").meta["params"]
 
+    def test_cached_trace_of_other_duration_is_rejected(self, tmp_path, capsys):
+        assert main(["simulate", "--model", "musfib", "--duration", "1.5",
+                     "--out", str(tmp_path)]) == 0
+        before = sorted(tmp_path.iterdir())
+        rc = main(["report", "--duration", "3", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_musfib.csv" in err and "t_end = 1.5" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_cached_trace_of_other_config_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--model", "muslin", "--duration", "1",
+                     "--out", str(out)]) == 0
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("f_max = 2600\n", encoding="utf-8")
+        before = sorted(out.iterdir())
+        rc = main(["report", "--duration", "1", "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_muslin.csv" in err and "params.f_max" in err
+        assert sorted(out.iterdir()) == before
+
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("warp_drive = 9\n", encoding="utf-8")
@@ -201,6 +225,25 @@ class TestReport:
         assert rc == 1
         assert "warp_drive" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestBenchmarkHooks:
+    def test_tracer_sees_the_cli_calls_it_patches(self, trace_dir, tmp_path, monkeypatch):
+        # bench/tracer.py wraps functions by their names in hopmc.cli; a
+        # refactor that stops calling one of them through that name fails here
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from tracer import Tracer
+        tracer = Tracer()
+        paths = [str(trace_dir / f"trace_{n}.csv") for n in ("musfib", "muslin", "dcmot")]
+        with tracer.installed():
+            rc = main(["measure", *paths, "--state-series", "--out", str(tmp_path)])
+        assert rc == 0
+        calls = Counter(span["name"] for span in tracer.spans)
+        assert calls["measures.compute_measures"] == 3
+        assert calls["measures.mc_w_state"] == 3
+        # the domains once, and each discrete trace once for both outputs
+        assert calls["discretize.compute_domains"] == 1
+        assert calls["discretize.build_discrete_trace"] == 3
 
 
 class TestImportBudget:

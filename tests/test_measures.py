@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopmc.discretize import DiscreteTrace
-from hopmc.infotheory import entropy, estimate_joint, mutual_information
 from hopmc.measures import (
     compute_measures,
-    deterministic_diagnostics,
     mc_mi,
     mc_mi_state,
     mc_w,
@@ -16,7 +14,15 @@ from hopmc.measures import (
     moving_average,
 )
 
-from oracles import dense_mc_mi, dense_mc_w
+from oracles import (
+    dense_cmi,
+    dense_conditional_entropy,
+    dense_entropy,
+    dense_joint,
+    dense_mc_mi,
+    dense_mc_w,
+    dense_mutual_information,
+)
 
 
 def _discrete(w_next, w, s, a, bases=(16, 16, 16)) -> DiscreteTrace:
@@ -100,17 +106,15 @@ class TestMcMi:
         w = rng.integers(0, 8, size=500)
         a = rng.integers(0, 3, size=500)
         d = _discrete(w, w, a, a)
-        jw = estimate_joint([d.w])
-        ja = estimate_joint([d.a])
-        assert mc_mi(d) == pytest.approx(entropy(jw) - entropy(ja), abs=1e-12)
+        assert mc_mi(d) == pytest.approx(
+            dense_entropy(dense_joint(d.w)) - dense_entropy(dense_joint(d.a)), abs=1e-12)
 
     def test_constant_controller_reduces_to_world_information(self):
         rng = np.random.default_rng(4)
         w_star = rng.integers(0, 6, size=301)
         d = _discrete(w_star[1:], w_star[:-1], [0] * 300, [0] * 300)
-        joint_ww = estimate_joint([d.w_next, d.w])
         assert mc_mi(d) == pytest.approx(
-            mutual_information(joint_ww, (0,), (1,)), abs=1e-12)
+            dense_mutual_information(dense_joint(d.w_next, d.w)), abs=1e-12)
 
     @settings(max_examples=50)
     @given(st.integers(0, 10_000))
@@ -142,13 +146,12 @@ class TestDeterministicIdentities:
     @given(st.integers(0, 10_000))
     def test_closed_loop_determinism(self, seed):
         d = _deterministic_system(np.random.default_rng(seed))
-        diag = deterministic_diagnostics(d)
+        r = compute_measures(d)
         # world successor is a function of the world state alone, so the
         # action carries no extra conditional information -- exactly
-        assert diag.i_wnext_a_given_w == 0.0
+        assert r.i_wnext_a_given_w == 0.0
         # and the two measures differ exactly by H(A|W')
-        assert diag.residual == pytest.approx(0.0, abs=1e-12)
-        r = compute_measures(d)
+        assert r.residual == pytest.approx(0.0, abs=1e-12)
         assert r.h_a_given_s == 0.0
         assert r.h_wnext_given_w == 0.0
         assert r.mc_w - r.mc_mi == pytest.approx(r.h_a_given_wnext, abs=1e-12)
@@ -159,25 +162,47 @@ class TestDeterministicIdentities:
         # MC_W - MC_MI = I(A;S) + I(W';A|W) - I(W';A) holds for any data
         d = _random_discrete(np.random.default_rng(seed), alphabet=3, n=60)
         r = compute_measures(d)
-        joint = estimate_joint([d.w_next, d.w, d.a])
-        joint_as = estimate_joint([d.a, d.s])
-        i_as = mutual_information(joint_as, (0,), (1,))
-        i_wa = mutual_information(joint, (0,), (2,))
+        i_as = dense_mutual_information(dense_joint(d.a, d.s))
+        i_wa = dense_mutual_information(dense_joint(d.w_next, d.a))
         assert r.mc_w - r.mc_mi == pytest.approx(
             i_as + r.i_wnext_a_given_w - i_wa, abs=1e-12)
 
     def test_shuffling_actions_destroys_controller_information(self):
         rng = np.random.default_rng(11)
         d = _deterministic_system(rng, n_w=12, n_s=6, n_a=6, length=4000)
-        joint = estimate_joint([d.a, d.s])
-        i_as = mutual_information(joint, (0,), (1,))
-        h_a = entropy(joint, (0,))
+        i_as = dense_mutual_information(dense_joint(d.a, d.s))
+        h_a = dense_entropy(dense_joint(d.a))
         assert i_as == pytest.approx(h_a, abs=1e-12)   # deterministic policy
         shuffled = d.a.copy()
         rng.shuffle(shuffled)
-        i_shuffled = mutual_information(estimate_joint([shuffled, d.s]), (0,), (1,))
+        i_shuffled = dense_mutual_information(dense_joint(shuffled, d.s))
         assert i_shuffled < i_as
         assert i_shuffled < 0.1
+
+
+class TestComputeMeasures:
+    @settings(max_examples=50)
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 60))
+    def test_every_field_matches_dense_oracles(self, seed, alphabet, n):
+        d = _random_discrete(np.random.default_rng(seed), alphabet, n)
+        p_wwa = dense_joint(d.w_next, d.w, d.a)
+        p_ww = dense_joint(d.w_next, d.w)
+        p_as = dense_joint(d.a, d.s)
+        want = {
+            "mc_w": dense_cmi(p_wwa),
+            "h_wnext": dense_entropy(p_ww.sum(axis=1)),
+            "h_wnext_given_w": dense_conditional_entropy(p_ww),
+            "h_a": dense_entropy(p_as.sum(axis=1)),
+            "h_a_given_s": dense_conditional_entropy(p_as),
+            "i_wnext_a_given_w": dense_cmi(p_wwa.transpose(0, 2, 1)),
+            "h_a_given_wnext": dense_conditional_entropy(dense_joint(d.a, d.w_next)),
+        }
+        want["mc_mi"] = (want["h_wnext"] - want["h_wnext_given_w"]
+                         - want["h_a"] + want["h_a_given_s"])
+        want["residual"] = want["mc_w"] - want["mc_mi"] - want["h_a_given_wnext"]
+        r = compute_measures(d)
+        for name, value in want.items():
+            assert getattr(r, name) == pytest.approx(value, abs=1e-12), name
 
 
 class TestMovingAverage:
