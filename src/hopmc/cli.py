@@ -9,6 +9,13 @@ Verbs:
 * ``report``     -- end-to-end: simulate all models (cached), measure,
   write state series and a JSON summary.
 
+The motor model (``dcmot``) tracks the last complete stance of a musfib
+trace: ``simulate`` takes it from ``--reference``, else from the
+``trace_musfib.csv`` in ``--out`` (simulating the default 8 s musfib run
+first when there is none); ``report`` takes it from the musfib trace of the
+same report.  The stance is written to ``reference_stance.csv`` with the
+hash of its source trace, and never read back from there.
+
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  All outputs are
 deterministic; rerunning a command reproduces files byte for byte.
 """
@@ -44,6 +51,7 @@ from .models import (
     make_model,
     model_parts,
     parameter_names,
+    write_csv,
 )
 from . import integrator
 
@@ -74,7 +82,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sim.add_argument("--config", type=Path, help="key = value parameter overrides")
     sim.add_argument("--reference", type=Path,
-                     help="stance reference CSV for dcmot (else cached/auto)")
+                     help="stance reference CSV for dcmot (else taken from "
+                          "trace_musfib.csv in --out)")
 
     mea = sub.add_parser("measure", help="compute measures over trace files")
     mea.add_argument("traces", nargs="+", type=Path)
@@ -108,45 +117,45 @@ def _trace_path(out: Path, model: str) -> Path:
     return out / f"trace_{model}.csv"
 
 
-def _simulate_model(model_name: str, out: Path, duration: float,
-                    overrides: dict | None, reference_path: Path | None) -> Trace:
-    """Simulate one model, resolving the dcmot reference dependency."""
-    reference = None
-    if model_name == "dcmot":
-        reference = _resolve_reference(out, reference_path)
+def _simulate(model_name: str, duration: float, overrides: dict | None,
+              reference: ReferenceTrajectory | None = None) -> Trace:
     model = make_model(model_name, overrides, reference=reference)
-    cfg = IntegratorConfig(t_end=duration)
-    return integrator.integrate(model, cfg)
+    return integrator.integrate(model, IntegratorConfig(t_end=duration))
 
 
-def _resolve_reference(out: Path, reference_path: Path | None) -> ReferenceTrajectory:
-    """Explicit file > cached file > extraction from a (cached or fresh)
-    default-parameter musfib run."""
-    if reference_path is not None:
-        return ReferenceTrajectory.from_csv(reference_path)
-    cached = out / _REFERENCE_NAME
-    if cached.exists():
-        return ReferenceTrajectory.from_csv(cached)
+def _write_reference(out: Path, musfib: Trace) -> ReferenceTrajectory:
+    """The stance reference of ``musfib``, the trace saved as
+    ``trace_musfib.csv`` in ``out``, written next to it with that file's hash."""
     musfib_csv = _trace_path(out, "musfib")
-    if musfib_csv.exists():
-        trace = load_trace(musfib_csv)
-    else:
-        print("no stance reference cached; simulating musfib first", file=sys.stderr)
-        trace = _simulate_model("musfib", out, 8.0, None, None)
-        trace.save(musfib_csv)
-    reference = extract_stance_reference(trace)
-    reference.to_csv(cached)
+    reference = extract_stance_reference(musfib)
+    path = reference.to_csv(out / _REFERENCE_NAME)
     meta = {"source_trace": musfib_csv.name, "source_trace_sha256": _sha256(musfib_csv)}
-    integrator.meta_path(cached).write_text(
+    integrator.meta_path(path).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return reference
+
+
+def _reference_from_out(out: Path) -> ReferenceTrajectory:
+    """The stance of the ``trace_musfib.csv`` in ``out``; when there is none,
+    of the default 8 s musfib run, which is saved there first."""
+    musfib_csv = _trace_path(out, "musfib")
+    if musfib_csv.exists():
+        musfib = load_trace(musfib_csv)
+    else:
+        print(f"no {musfib_csv}; simulating musfib first", file=sys.stderr)
+        musfib = _simulate("musfib", 8.0, None)
+        musfib.save(musfib_csv)
+    return _write_reference(out, musfib)
 
 
 def cmd_simulate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     overrides = load_config(args.config) if args.config else None
-    trace = _simulate_model(args.model, args.out, args.duration, overrides,
-                            args.reference)
+    reference = None
+    if args.model == "dcmot":
+        reference = (ReferenceTrajectory.from_csv(args.reference) if args.reference
+                     else _reference_from_out(args.out))
+    trace = _simulate(args.model, args.duration, overrides, reference)
     path = trace.save(_trace_path(args.out, args.model))
     print(f"wrote {path} ({len(trace)} rows, "
           f"max height after transient: "
@@ -195,15 +204,9 @@ def _write_state_series(d: DiscreteTrace, out: Path, smooth_block: int) -> Path:
     mi_series = mc_mi_state(d)
     w_smooth = moving_average(w_series, smooth_block)
     mi_smooth = moving_average(mi_series, smooth_block)
-    path = out / f"mc_state_{d.model}.csv"
-    lines = ["t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact"]
-    for i in range(len(d)):
-        cells = [format(v, ".17g") for v in
-                 (d.t[i], w_series[i], mi_series[i], w_smooth[i], mi_smooth[i], d.y[i])]
-        cells.append("1" if d.contact[i] else "0")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_csv(out / f"mc_state_{d.model}.csv",
+                     "t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact",
+                     (d.t, w_series, mi_series, w_smooth, mi_smooth, d.y, d.contact))
 
 
 def cmd_measure(args) -> int:
@@ -282,20 +285,21 @@ def cmd_report(args) -> int:
     overrides = _scope_overrides(load_config(args.config) if args.config else {})
     cached = _cached_traces(args.out, args.duration, overrides)
     args.out.mkdir(parents=True, exist_ok=True)
-    traces = []
+    traces = {}
     for name in MODEL_NAMES:
         path = _trace_path(args.out, name)
         if name in cached:
             print(f"using cached {path}")
-            traces.append(cached[name])
+            traces[name] = cached[name]
             continue
-        trace = _simulate_model(name, args.out, args.duration, overrides[name], None)
+        # MODEL_NAMES lists musfib before dcmot, whose reference it provides
+        reference = _write_reference(args.out, traces["musfib"]) if name == "dcmot" else None
+        trace = traces[name] = _simulate(name, args.duration, overrides[name], reference)
         trace.save(path)
         print(f"wrote {path} (max height after transient: "
               f"{trace.meta['max_height_post_transient']:.4f} m)")
-        traces.append(trace)
 
-    spec, discrete = _discretize(traces, args.bins)
+    spec, discrete = _discretize(list(traces.values()), args.bins)
     results = [compute_measures(d) for d in discrete]
     _print_table(results, args.bins)
     spec.save(args.out / "binning_spec.txt")

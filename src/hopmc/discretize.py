@@ -164,9 +164,6 @@ class DiscreteTrace:
     w: np.ndarray
     s: np.ndarray
     a: np.ndarray
-    world_bases: tuple[int, ...]
-    sensor_bases: tuple[int, ...]
-    action_base: int
     t: np.ndarray          # time of step k (first len-1 samples of the trace)
     y: np.ndarray
     contact: np.ndarray
@@ -186,24 +183,15 @@ def build_discrete_trace(trace: Trace, spec: BinningSpec) -> DiscreteTrace:
     if len(trace) < 2:
         raise ValueError("trace must contain at least two samples")
 
-    world_syms = []
-    world_bases = []
-    for name, data in zip(WORLD_CHANNELS, (trace.y, trace.yd, trace.ydd)):
-        dom = spec.domain(name)
-        world_syms.append(discretize_channel(data, dom))
-        world_bases.append(dom.bins)
-    w_star = combine_symbols(world_syms, world_bases)
+    def packed(names, columns):
+        domains = [spec.domain(name) for name in names]
+        return combine_symbols([discretize_channel(x, d) for x, d in zip(columns, domains)],
+                               [d.bins for d in domains])
 
-    sensor_syms = []
-    sensor_bases = []
-    for j, name in enumerate(trace.sensor_names):
-        dom = spec.domain(name)
-        sensor_syms.append(discretize_channel(trace.sensors[:, j], dom))
-        sensor_bases.append(dom.bins)
-    s_star = combine_symbols(sensor_syms, sensor_bases)
-
-    a_dom = spec.domain(ACTION_CHANNEL)
-    a_star = discretize_channel(normalize_action(trace.action, trace.action_kind), a_dom)
+    w_star = packed(WORLD_CHANNELS, (trace.y, trace.yd, trace.ydd))
+    s_star = packed(trace.sensor_names, trace.sensors.T)
+    a_star = discretize_channel(normalize_action(trace.action, trace.action_kind),
+                                spec.domain(ACTION_CHANNEL))
 
     return DiscreteTrace(
         model=trace.model,
@@ -211,9 +199,6 @@ def build_discrete_trace(trace: Trace, spec: BinningSpec) -> DiscreteTrace:
         w=w_star[:-1].copy(),
         s=s_star[:-1].copy(),
         a=a_star[:-1].copy(),
-        world_bases=tuple(world_bases),
-        sensor_bases=tuple(sensor_bases),
-        action_base=a_dom.bins,
         t=trace.t[:-1].copy(),
         y=trace.y[:-1].copy(),
         contact=trace.contact[:-1].copy(),

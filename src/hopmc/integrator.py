@@ -54,7 +54,7 @@ import numpy as np
 from scipy.linalg import matrix_balance
 
 from .models import (HoppingModel, LinearStance, ReferenceTrajectory, StepContext,
-                     hermite_coeffs)
+                     hermite_coeffs, write_csv)
 
 __all__ = [
     "IntegratorConfig",
@@ -70,6 +70,7 @@ __all__ = [
 
 _EVENT_TOL = 1e-10        # |y - l0| at refined crossings [m]
 _TIME_EPS = 1e-12
+_SAMPLE_RATE = 1000.0     # output grid and stance reference grid [Hz]
 
 
 class IntegrationError(RuntimeError):
@@ -81,14 +82,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     t_end: float = 8.0
-    sample_rate: float = 1000.0
     max_step: float = 0.01
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if self.max_step <= 0:
@@ -117,7 +115,7 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """Uniformly sampled simulation record (1 kHz by default).
+    """Uniformly sampled simulation record (1 kHz).
 
     ``sensors`` has one column per sensor channel; channel names and the
     action normalization kind travel with the trace so the discretization
@@ -155,15 +153,9 @@ class Trace:
 
     def save(self, path: str | Path) -> Path:
         """Write the CSV plus a .meta.json sidecar; returns the CSV path."""
-        path = Path(path)
-        lines = [self.csv_header()]
-        for i in range(len(self)):
-            cells = [format(v, ".17g") for v in
-                     (self.t[i], self.y[i], self.yd[i], self.ydd[i],
-                      *self.sensors[i], self.action[i])]
-            cells.append("1" if self.contact[i] else "0")
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = write_csv(path, self.csv_header(),
+                         (self.t, self.y, self.yd, self.ydd, self.sensors, self.action,
+                          self.contact))
         sidecar = {
             "model": self.model,
             "action_kind": self.action_kind,
@@ -217,9 +209,9 @@ class ForceHistory:
     tolerances each kink caps the step size at the past step size, which
     locks the integration into ever-smaller steps.)
 
-    Duplicate timestamps encode the force jump at contact transitions; the
-    jump, shifted by the transport delay, is queued as a future hard step
-    boundary, as are its higher-order echoes registered by the integrator.
+    Duplicate timestamps encode the force jump at contact transitions.  The
+    integrator queues the jump's echoes (the jump shifted by one, two and
+    three transport delays) as future hard step boundaries.
     """
 
     def __init__(self, delay: float = 0.0):
@@ -232,8 +224,6 @@ class ForceHistory:
     def append(self, t: float, f: float, df: float = 0.0) -> None:
         if self.ts and t < self.ts[-1] - _TIME_EPS:
             raise ValueError(f"history time went backwards: {t} < {self.ts[-1]}")
-        if self.ts and t - self.ts[-1] <= 0.0:
-            self.add_breakpoint(t + self.delay)   # value jump at an event
         self.ts.append(float(t))
         self.fs.append(float(f))
         self.dfs.append(float(df))
@@ -305,10 +295,9 @@ class _Recorder:
 
     def __init__(self, model: HoppingModel, cfg: IntegratorConfig):
         self.model = model
-        n = int(math.floor(cfg.t_end * cfg.sample_rate + 1e-9)) + 1
+        n = int(math.floor(cfg.t_end * _SAMPLE_RATE + 1e-9)) + 1
         self.n = n
-        self.rate = cfg.sample_rate
-        self.t = np.arange(n) / cfg.sample_rate
+        self.t = np.arange(n) / _SAMPLE_RATE
         self.y = np.empty(n)
         self.yd = np.empty(n)
         self.ydd = np.empty(n)
@@ -374,7 +363,7 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         meta={
             "params": model.params_dict(),
             "t_end": cfg.t_end,
-            "sample_rate": cfg.sample_rate,
+            "sample_rate": _SAMPLE_RATE,
             "transient": transient,
             "max_height_post_transient": float(rec.y[rec.t >= transient].max()),
             **stats,
@@ -766,7 +755,7 @@ def _stance(flow: _StanceFlow, system: LinearStance, model: HoppingModel,
     None when the run ends first.
     """
     l0 = model.common.rest_length
-    for s_a, h, coeffs in _input_pieces(system, 1.0 / rec.rate):
+    for s_a, h, coeffs in _input_pieces(system, 1.0 / _SAMPLE_RATE):
         t_a = ctx.t_touchdown + s_a
         z = np.concatenate((x, coeffs, (1.0,)))
         x_b = flow.recurring(h) @ z
@@ -883,7 +872,7 @@ def extract_stance_reference(trace: Trace) -> ReferenceTrajectory:
     ydd = np.concatenate(([td.ydd_after], trace.ydd[inside], [lo.ydd_before]))
 
     duration = float(lo.t - td.t)
-    grid = np.arange(int(math.floor(duration * 1000.0 + 1e-9)) + 1) / 1000.0
+    grid = np.arange(int(math.floor(duration * _SAMPLE_RATE + 1e-9)) + 1) / _SAMPLE_RATE
     if duration - grid[-1] > 1e-9:
         grid = np.append(grid, duration)
     i = np.clip(np.searchsorted(t_rel, grid, side="right") - 1, 0, t_rel.size - 2)

@@ -51,6 +51,7 @@ __all__ = [
     "load_config",
     "make_model",
     "parameter_names",
+    "write_csv",
     "MODEL_NAMES",
 ]
 
@@ -279,6 +280,19 @@ def motor_current_derivative(current: float, voltage: float, yd: float, p: DCMot
 
 
 # ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+def write_csv(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> Path:
+    """Write equal-length columns as comma-separated rows under one header
+    line.  Every value is printed with ``%.17g``, which round-trips a double
+    exactly; a bool column prints as 0 and 1."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    return Path(path)
+
+
+# ---------------------------------------------------------------------------
 # recorded stance reference (for the motor model)
 # ---------------------------------------------------------------------------
 
@@ -338,11 +352,8 @@ class ReferenceTrajectory:
         return (cy[0] + dt * (cy[1] + dt * (cy[2] + dt * cy[3])),
                 cv[0] + dt * (cv[1] + dt * (cv[2] + dt * cv[3])))
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["tau,y,yd,ydd"]
-        for row in zip(self.tau, self.y, self.yd, self.ydd):
-            lines.append(",".join(format(v, ".17g") for v in row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def to_csv(self, path: str | Path) -> Path:
+        return write_csv(path, "tau,y,yd,ydd", (self.tau, self.y, self.yd, self.ydd))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ReferenceTrajectory":

@@ -33,7 +33,6 @@ def _random_symbol_trace(rng, alphabet=4, max_len=50) -> DiscreteTrace:
     seqs = rng.integers(0, alphabet, size=(4, n))
     return DiscreteTrace(
         model="rand", w_next=seqs[0], w=seqs[1], s=seqs[2], a=seqs[3],
-        world_bases=(alphabet,) * 3, sensor_bases=(alphabet,), action_base=alphabet,
         t=np.arange(n) / 1000.0, y=np.ones(n), contact=np.zeros(n, dtype=bool))
 
 
@@ -54,7 +53,6 @@ def _deterministic_loop(rng, n_w=6, n_s=3, n_a=3, length=300) -> DiscreteTrace:
     return DiscreteTrace(
         model="det", w_next=w_arr[1:], w=w_arr[:-1],
         s=np.array(ss[:-1]), a=np.array(aa[:-1]),
-        world_bases=(n_w,) * 3, sensor_bases=(n_s,), action_base=n_a,
         t=np.arange(length) / 1000.0, y=np.ones(length),
         contact=np.zeros(length, dtype=bool))
 

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import hopmc
 from hopmc.cli import main
-from hopmc.integrator import load_trace
+from hopmc.integrator import extract_stance_reference, load_trace
 
 
 def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
@@ -76,12 +77,34 @@ class TestSimulate:
         rc = main(["simulate", "--model", "dcmot", "--duration", "1",
                    "--out", str(tmp_path)])
         assert rc == 0
-        # reference extracted from the cached trace and cached with its hash
+        # reference extracted from the trace in --out and written with its hash
         assert (tmp_path / "reference_stance.csv").exists()
         meta = json.loads((tmp_path / "reference_stance.meta.json").read_text())
         assert meta["source_trace"] == "trace_musfib.csv"
         assert len(meta["source_trace_sha256"]) == 64
         assert "simulating musfib" not in capsys.readouterr().err
+
+    def test_stale_reference_in_out_is_not_used(self, trace_dir, tmp_path):
+        # a reference_stance.csv left in --out by another musfib run, here a
+        # 2 s one, must give way to the stance of the trace_musfib.csv there
+        short = tmp_path / "short"
+        assert main(["simulate", "--model", "musfib", "--duration", "2",
+                     "--out", str(short)]) == 0
+        out = tmp_path / "out"
+        _copy_traces(trace_dir, out, names=("musfib",))
+        stale = extract_stance_reference(load_trace(short / "trace_musfib.csv"))
+        stale.to_csv(out / "reference_stance.csv")
+        fresh = trace_dir / "reference_stance.csv"
+        assert (out / "reference_stance.csv").read_bytes() != fresh.read_bytes()
+        explicit = tmp_path / "explicit"
+        for argv in (["--out", str(out)], ["--out", str(explicit), "--reference", str(fresh)]):
+            assert main(["simulate", "--model", "dcmot", "--duration", "1", *argv]) == 0
+        assert (out / "trace_dcmot.csv").read_bytes() == \
+            (explicit / "trace_dcmot.csv").read_bytes()
+        assert (out / "reference_stance.csv").read_bytes() == fresh.read_bytes()
+        meta = json.loads((out / "reference_stance.meta.json").read_text())
+        musfib_sha = hashlib.sha256((out / "trace_musfib.csv").read_bytes()).hexdigest()
+        assert meta["source_trace_sha256"] == musfib_sha
 
     def test_dcmot_voltage_bound_breach_is_numerical_failure(self, trace_dir, tmp_path,
                                                              capsys):
@@ -228,12 +251,16 @@ class TestReport:
 
 
 class TestBenchmarkHooks:
-    def test_tracer_sees_the_cli_calls_it_patches(self, trace_dir, tmp_path, monkeypatch):
-        # bench/tracer.py wraps functions by their names in hopmc.cli; a
-        # refactor that stops calling one of them through that name fails here
+    # bench/tracer.py wraps functions by their names in hopmc.cli; a refactor
+    # that stops calling one of them through that name fails here
+    @staticmethod
+    def _tracer(monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         from tracer import Tracer
-        tracer = Tracer()
+        return Tracer()
+
+    def test_tracer_sees_the_cli_calls_it_patches(self, trace_dir, tmp_path, monkeypatch):
+        tracer = self._tracer(monkeypatch)
         paths = [str(trace_dir / f"trace_{n}.csv") for n in ("musfib", "muslin", "dcmot")]
         with tracer.installed():
             rc = main(["measure", *paths, "--state-series", "--out", str(tmp_path)])
@@ -244,6 +271,19 @@ class TestBenchmarkHooks:
         # the domains once, and each discrete trace once for both outputs
         assert calls["discretize.compute_domains"] == 1
         assert calls["discretize.build_discrete_trace"] == 3
+
+    def test_report_reads_back_no_trace_it_wrote(self, tmp_path, monkeypatch):
+        # the dcmot reference comes from the musfib trace in memory
+        tracer = self._tracer(monkeypatch)
+        out = tmp_path / "out"
+        with tracer.installed():
+            rc = main(["report", "--duration", "2", "--out", str(out)])
+        assert rc == 0
+        calls = Counter(span["name"] for span in tracer.spans)
+        assert calls["integrator.load_trace"] == 0
+        assert calls["integrator.extract_stance_reference"] == 1
+        assert calls["integrator.Trace.save"] == 3
+        assert (out / "reference_stance.csv").exists()
 
 
 class TestImportBudget:

@@ -168,12 +168,13 @@ class TestBuildDiscreteTrace:
         d = build_discrete_trace(trace, spec)
         assert len(d) == 2
         assert d.w_next[0] == d.w[1]
-        assert d.world_bases == (300, 300, 300)
 
     def test_muscle_sensor_is_scalar(self):
         trace = _toy_trace()
-        d = build_discrete_trace(trace, compute_domains([trace]))
-        assert d.sensor_bases == (300,)
+        spec = compute_domains([trace])
+        d = build_discrete_trace(trace, spec)
+        np.testing.assert_array_equal(
+            d.s, discretize_channel(trace.sensors[:-1, 0], spec.domain("f_leg")))
         assert np.all(d.s < 300)
 
     def test_motor_sensor_is_composite(self):
@@ -181,8 +182,11 @@ class TestBuildDiscreteTrace:
                            sensor_names=("y", "yd"),
                            sensors=[[0.95, -0.5], [1.0, -1.0], [1.05, -0.5]],
                            action=[-24.0, 0.0, 24.0])
-        d = build_discrete_trace(motor, compute_domains([motor]))
-        assert d.sensor_bases == (300, 300)
+        spec = compute_domains([motor])
+        d = build_discrete_trace(motor, spec)
+        channels = [discretize_channel(motor.sensors[:-1, j], spec.domain(name))
+                    for j, name in enumerate(("y", "yd"))]
+        np.testing.assert_array_equal(d.s, combine_symbols(channels, (300, 300)))
         assert np.all(d.s < 300 * 300)
 
     def test_world_symbol_round_trips(self):
@@ -191,7 +195,7 @@ class TestBuildDiscreteTrace:
         d = build_discrete_trace(trace, spec)
         channels = [discretize_channel(getattr(trace, name)[:-1], spec.domain(name))
                     for name in ("y", "yd", "ydd")]
-        np.testing.assert_array_equal(d.w, combine_symbols(channels, d.world_bases))
+        np.testing.assert_array_equal(d.w, combine_symbols(channels, (300, 300, 300)))
 
     def test_determinism(self):
         trace = _toy_trace()

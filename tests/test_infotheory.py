@@ -41,8 +41,7 @@ def _trace(w_next=None, w=None, s=None, a=None) -> DiscreteTrace:
     cols = {k: np.asarray(np.zeros(n) if c is None else c, dtype=np.int64)
             for k, c in cols.items()}
     return DiscreteTrace(
-        model="toy", **cols, world_bases=(4, 4, 4), sensor_bases=(4,), action_base=4,
-        t=np.arange(n) / 1000.0, y=np.ones(n), contact=np.zeros(n, dtype=bool))
+        model="toy", **cols, t=np.arange(n) / 1000.0, y=np.ones(n), contact=np.zeros(n, dtype=bool))
 
 
 def _pack(x, y):

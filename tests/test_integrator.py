@@ -331,7 +331,12 @@ class TestForceHistory:
         h.append(1.1, 60.0, 100.0)
         assert h.at(1.0) == 50.0
         assert h.at(1.0 - 1e-9) == pytest.approx(0.0, abs=1e-6)
+        # the integrator queues the echoes; the history queues nothing itself
+        assert h.next_break_after(0.5) == math.inf
+        h.add_breakpoint(1.0 + h.delay)
+        h.add_breakpoint(1.0 + h.delay)     # a repeated echo is queued once
         assert h.next_break_after(0.5) == pytest.approx(1.015)
+        assert h.next_break_after(1.015) == math.inf
 
     def test_breaks_consumed_in_order(self):
         h = ForceHistory(0.01)

@@ -25,12 +25,11 @@ from oracles import (
 )
 
 
-def _discrete(w_next, w, s, a, bases=(16, 16, 16)) -> DiscreteTrace:
+def _discrete(w_next, w, s, a) -> DiscreteTrace:
     n = len(w)
     arr = lambda x: np.asarray(x, dtype=np.int64)
     return DiscreteTrace(
         model="toy", w_next=arr(w_next), w=arr(w), s=arr(s), a=arr(a),
-        world_bases=bases, sensor_bases=(16,), action_base=16,
         t=np.arange(n) / 1000.0, y=np.ones(n), contact=np.zeros(n, dtype=bool))
 
 
@@ -237,8 +236,7 @@ class TestErrors:
         d = _discrete([0], [0], [0], [0])
         empty = DiscreteTrace(
             model="toy", w_next=d.w_next[:0], w=d.w[:0], s=d.s[:0], a=d.a[:0],
-            world_bases=d.world_bases, sensor_bases=d.sensor_bases,
-            action_base=d.action_base, t=d.t[:0], y=d.y[:0], contact=d.contact[:0])
+            t=d.t[:0], y=d.y[:0], contact=d.contact[:0])
         for fn in (mc_w, mc_w_state, mc_mi_state, compute_measures):
             with pytest.raises(ValueError):
                 fn(empty)

@@ -24,6 +24,7 @@ from hopmc.models import (
     make_model,
     motor_current_derivative,
     pd_voltage,
+    write_csv,
 )
 
 P_FIB = MusFibParams()
@@ -324,3 +325,22 @@ class TestReferenceTrajectory:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             ReferenceTrajectory(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+class TestWriteCsv:
+    def test_rows_are_shortest_exact_decimals(self, tmp_path):
+        # the row format all CSV outputs had before they shared write_csv
+        values = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1,
+                           1.0 / 3.0, 3.0, -17.0, 1e16, 2.0 ** 53 + 2.0, 1000.0])
+        block = np.column_stack((values[::-1], -values))
+        flags = np.arange(values.size) % 3 == 0
+        path = write_csv(tmp_path / "x.csv", "v,p,q,flag", (values, block, flags))
+        rows = ["v,p,q,flag"]
+        for i in range(values.size):
+            cells = [format(v, ".17g") for v in (values[i], *block[i])]
+            cells.append("1" if flags[i] else "0")
+            rows.append(",".join(cells))
+        assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, :3], np.column_stack((values, block)))
+        assert np.signbit(back[0, 0]) and not np.signbit(back[1, 0])
