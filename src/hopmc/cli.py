@@ -13,8 +13,9 @@ The motor model (``dcmot``) tracks the last complete stance of a musfib
 trace: ``simulate`` takes it from ``--reference``, else from the
 ``trace_musfib.csv`` in ``--out`` (simulating the default 8 s musfib run
 first when there is none); ``report`` takes it from the musfib trace of the
-same report.  The stance is written to ``reference_stance.csv`` with the
-hash of its source trace, and never read back from there.
+same report.  The stance is written to ``reference_stance.csv``, never read
+back from there, and the hash of its source file goes into both sidecars;
+``report`` reuses a cached ``dcmot`` trace only if its hash is the report's.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  All outputs are
 deterministic; rerunning a command reproduces files byte for byte.
@@ -60,6 +61,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
 _REFERENCE_NAME = "reference_stance.csv"
+_SOURCE_KEY = "reference_source_sha256"    # in a dcmot trace's meta
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,24 +120,29 @@ def _trace_path(out: Path, model: str) -> Path:
 
 
 def _simulate(model_name: str, duration: float, overrides: dict | None,
-              reference: ReferenceTrajectory | None = None) -> Trace:
-    model = make_model(model_name, overrides, reference=reference)
-    return integrator.integrate(model, IntegratorConfig(t_end=duration))
+              reference: tuple[ReferenceTrajectory, str] | None = None) -> Trace:
+    """Simulate one model; dcmot's meta records its reference's source hash."""
+    model = make_model(model_name, overrides, reference=reference[0] if reference else None)
+    trace = integrator.integrate(model, IntegratorConfig(t_end=duration))
+    if reference:
+        trace.meta[_SOURCE_KEY] = reference[1]
+    return trace
 
 
-def _write_reference(out: Path, musfib: Trace) -> ReferenceTrajectory:
+def _write_reference(out: Path, musfib: Trace) -> tuple[ReferenceTrajectory, str]:
     """The stance reference of ``musfib``, the trace saved as
-    ``trace_musfib.csv`` in ``out``, written next to it with that file's hash."""
+    ``trace_musfib.csv`` in ``out``, and that file's hash, written next to it."""
     musfib_csv = _trace_path(out, "musfib")
     reference = extract_stance_reference(musfib)
     path = reference.to_csv(out / _REFERENCE_NAME)
-    meta = {"source_trace": musfib_csv.name, "source_trace_sha256": _sha256(musfib_csv)}
+    source = _sha256(musfib_csv)
+    meta = {"source_trace": musfib_csv.name, "source_trace_sha256": source}
     integrator.meta_path(path).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return reference
+    return reference, source
 
 
-def _reference_from_out(out: Path) -> ReferenceTrajectory:
+def _reference_from_out(out: Path) -> tuple[ReferenceTrajectory, str]:
     """The stance of the ``trace_musfib.csv`` in ``out``; when there is none,
     of the default 8 s musfib run, which is saved there first."""
     musfib_csv = _trace_path(out, "musfib")
@@ -153,8 +160,8 @@ def cmd_simulate(args) -> int:
     overrides = load_config(args.config) if args.config else None
     reference = None
     if args.model == "dcmot":
-        reference = (ReferenceTrajectory.from_csv(args.reference) if args.reference
-                     else _reference_from_out(args.out))
+        reference = ((ReferenceTrajectory.from_csv(args.reference), _sha256(args.reference))
+                     if args.reference else _reference_from_out(args.out))
     trace = _simulate(args.model, args.duration, overrides, reference)
     path = trace.save(_trace_path(args.out, args.model))
     print(f"wrote {path} ({len(trace)} rows, "
@@ -269,14 +276,20 @@ def _cached_traces(out: Path, duration: float,
         want = {"t_end": duration, **{f"params.{k}": v for k, v in params.items()}}
         have = {"t_end": trace.meta.get("t_end"),
                 **{f"params.{k}": v for k, v in trace.meta.get("params", {}).items()}}
-        stale = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
-        if stale:
-            key = stale[0]
-            raise ValueError(f"cached {path} has {key} = {have.get(key)!r} but this report "
-                             f"needs {want.get(key)!r}; remove the file or rerun with the "
-                             f"options that made it")
+        _refuse_stale(path, want, have)
         cached[name] = trace
     return cached
+
+
+def _refuse_stale(path: Path, want: dict, have: dict) -> None:
+    """Fail naming ``path`` and the first key whose recorded value differs
+    from what this report needs."""
+    stale = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+    if stale:
+        key = stale[0]
+        raise ValueError(f"cached {path} has {key} = {have.get(key)!r} but this report "
+                         f"needs {want.get(key)!r}; remove the file or rerun with the "
+                         f"options that made it")
 
 
 def cmd_report(args) -> int:
@@ -289,6 +302,9 @@ def cmd_report(args) -> int:
     for name in MODEL_NAMES:
         path = _trace_path(args.out, name)
         if name in cached:
+            if name == "dcmot":     # it must track this report's musfib stance
+                _refuse_stale(path, {_SOURCE_KEY: _sha256(_trace_path(args.out, "musfib"))},
+                              {_SOURCE_KEY: cached[name].meta.get(_SOURCE_KEY)})
             print(f"using cached {path}")
             traces[name] = cached[name]
             continue

@@ -25,11 +25,13 @@ choice), segment by segment:
 * contact transitions (y crossing the leg rest length) are localized by
   bisection on the dense output and become hard segment boundaries, so the
   discontinuous leg force is never stepped across;
-* the delayed-force history (the leg force at every accepted step, with
-  C1 Hermite interpolation) re-delivers each contact-force jump after the
-  transport delay; those echo times are also hard segment boundaries, since
-  stepping across a discontinuity at 1e-12 tolerances thrashes the step-size
-  controller;
+* the reflex reads the leg force one transport delay back off the delay
+  line: the dense output and contact flag of each accepted step of the last
+  delay (the method of steps), with the step that crosses a contact cut at
+  its event.  A contact-force jump reaches the reflex at the delay echoes
+  t_ev + k * delay (k = 1, 2, 3); those are hard segment boundaries, the
+  stages of a step that ends on one read the delayed force's left limit,
+  and the next segment starts with a fresh first stage;
 * output samples on the uniform 1 kHz grid are evaluated from the dense
   output, never by restarting the integration.
 
@@ -41,7 +43,6 @@ settings that path used and its deterministic work counts.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -60,7 +61,6 @@ __all__ = [
     "IntegratorConfig",
     "Trace",
     "TraceEvent",
-    "ForceHistory",
     "IntegrationError",
     "integrate",
     "extract_stance_reference",
@@ -138,10 +138,6 @@ class Trace:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
     def max_height(self, after: float = 0.0) -> float:
         return float(self.y[self.t >= after].max())
 
@@ -199,80 +195,70 @@ def load_trace(path: str | Path) -> Trace:
     )
 
 
-class ForceHistory:
-    """Leg force at accepted integration steps, with C1 interpolation.
+class _DelayLine:
+    """The leg force over the last transport delay, read off the dense output
+    of the accepted steps (the method of steps).
 
-    Stores (time, force, force rate) triples and interpolates delayed
-    lookups with a cubic Hermite, so the reconstructed force is as smooth
-    as the underlying signal between contact transitions.  (A piecewise
-    linear reconstruction puts a slope kink at every past step; at 1e-12
-    tolerances each kink caps the step size at the past step size, which
-    locks the integration into ever-smaller steps.)
-
-    Duplicate timestamps encode the force jump at contact transitions.  The
-    integrator queues the jump's echoes (the jump shifted by one, two and
-    three transport delays) as future hard step boundaries.
+    A kept step is ``(t_old, t_new, dense, ctx)``, with ``dense`` None in
+    flight, where the leg force is zero; a zero-force span stands for t < 0.
+    A step that crosses a contact ends at the event, so the force jump sits
+    on a step boundary.  The stepper looks up no time earlier than one delay
+    before the step it tries, nor later than its start, so a push drops the
+    steps that ended before that and a cursor walks the rest.  The queue of
+    delay echoes lives here too.
     """
 
-    def __init__(self, delay: float = 0.0):
-        self.delay = float(delay)
-        self.ts: list[float] = []
-        self.fs: list[float] = []
-        self.dfs: list[float] = []
+    def __init__(self, model: HoppingModel, delay: float):
+        self.delay = delay
+        self.steps = [(-math.inf, 0.0, None, None)]
+        self._leg_force = model.leg_force
+        self._i = 0
         self._breaks: deque[float] = deque()
 
-    def append(self, t: float, f: float, df: float = 0.0) -> None:
-        if self.ts and t < self.ts[-1] - _TIME_EPS:
-            raise ValueError(f"history time went backwards: {t} < {self.ts[-1]}")
-        self.ts.append(float(t))
-        self.fs.append(float(f))
-        self.dfs.append(float(df))
+    def push(self, t_old: float, t_new: float, dense, ctx: StepContext) -> None:
+        """Append an accepted step and drop the steps no lookup reaches."""
+        steps = self.steps
+        steps.append((t_old, t_new, dense, ctx))
+        horizon = t_new - self.delay
+        dead = 0
+        while steps[dead][1] < horizon:
+            dead += 1
+        if dead:
+            del steps[:dead]
+            self._i = max(self._i - dead, 0)
+
+    def at(self, t: float) -> float:
+        """Leg force at ``t``, right-continuous at a contact event."""
+        steps, i = self.steps, self._i
+        while t < steps[i][0]:
+            i -= 1
+        while t >= steps[i][1]:
+            i += 1
+        return self._force(i, t)
+
+    def before(self, t: float) -> float:
+        """Left limit of :meth:`at` at ``t``."""
+        steps, i = self.steps, self._i
+        while t <= steps[i][0]:
+            i -= 1
+        while t > steps[i][1]:
+            i += 1
+        return self._force(i, t)
+
+    def _force(self, i: int, t: float) -> float:
+        self._i = i
+        _, _, dense, ctx = self.steps[i]
+        return 0.0 if dense is None else self._leg_force(t, dense(t), ctx)
 
     def add_breakpoint(self, t: float) -> None:
         """Queue a future time the integrator must not step across."""
-        if self.delay <= 0.0:
-            return
         if not self._breaks or t > self._breaks[-1] + _TIME_EPS:
-            self._breaks.append(float(t))
-
-    def at(self, t: float) -> float:
-        """Force at time ``t``; zero before the recorded history."""
-        ts = self.ts
-        if not ts or t < ts[0]:
-            return 0.0
-        i = bisect.bisect_right(ts, t) - 1
-        if i >= len(ts) - 1:
-            return self.fs[-1]
-        t0, t1 = ts[i], ts[i + 1]
-        if t1 <= t0:
-            return self.fs[i + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        u = 1.0 - s
-        return (self.fs[i] * (1.0 + 2.0 * s) * u * u
-                + self.dfs[i] * h * s * u * u
-                + self.fs[i + 1] * s * s * (3.0 - 2.0 * s)
-                - self.dfs[i + 1] * h * s * s * u)
+            self._breaks.append(t)
 
     def next_break_after(self, t: float) -> float:
         while self._breaks and self._breaks[0] <= t + _TIME_EPS:
             self._breaks.popleft()
         return self._breaks[0] if self._breaks else math.inf
-
-
-def _force_rate(model: HoppingModel, t: float, x, ctx: StepContext,
-                f0: float) -> float:
-    """d/dt of the leg force along the trajectory (Euler probe).
-
-    Only needed in contact (the leg force is identically zero in flight) and
-    only to first-order accuracy: it parameterizes the Hermite history whose
-    interpolation error is already quadratically small in the step size.
-    """
-    if not ctx.contact:
-        return 0.0
-    eps = 1e-7
-    x1 = [xi + eps * di for xi, di in zip(x, model.derivative(t, x, ctx))]
-    return (model.leg_force(t + eps, x1, ctx) - f0) / eps
 
 
 def _bisect_crossing(dense, l0: float, t_lo: float, t_hi: float) -> float:
@@ -447,13 +433,17 @@ def _dp45_step(rhs, ctx: StepContext, t: float, h: float, y, k1,
 
 def _dense_output(t_old: float, h: float, y, stages):
     """The step's quartic interpolant, as a function of time."""
-    q = [(k[0], sum(map(mul, _P2, k)), sum(map(mul, _P3, k)), sum(map(mul, _P4, k)))
-         for k in zip(*stages)]
+    y0, y1, y2 = y
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = [
+        (k[0], sum(map(mul, _P2, k)), sum(map(mul, _P3, k)), sum(map(mul, _P4, k)))
+        for k in zip(*stages)]
 
     def at(t: float) -> tuple[float, float, float]:
         s = (t - t_old) / h
-        return tuple(yi + h * s * (c1 + s * (c2 + s * (c3 + s * c4)))
-                     for yi, (c1, c2, c3, c4) in zip(y, q))
+        hs = h * s
+        return (y0 + hs * (a1 + s * (a2 + s * (a3 + s * a4))),
+                y1 + hs * (b1 + s * (b2 + s * (b3 + s * b4))),
+                y2 + hs * (c1 + s * (c2 + s * (c3 + s * c4))))
     return at
 
 
@@ -483,22 +473,23 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
 
     The state is three floats throughout.  The step-size controller is
     RK45's: RMS error norm, safety factor 0.9, step ratio within [0.2, 10]
-    and no growth right after a rejection.  A segment starts with the size
-    of the last step taken (the first one with :func:`_initial_step`);
-    unless it starts at an event, it reuses the previous step's last stage
-    (re-evaluated when a clamp moved the state).  The interpolant is built
-    only for steps that hold a grid sample or an event.
+    and no growth right after a rejection.  A segment starts with a fresh
+    first stage and the size of the last step taken (the first one with
+    :func:`_initial_step`); within it each step reuses the previous step's
+    last stage (re-evaluated when a clamp moved the state).  The interpolant
+    is built for every contact step, which the delay line keeps, and for the
+    flight steps that hold a grid sample or an event.
     """
     l0 = model.common.rest_length
     delay = model.history_delay
     max_step = cfg.max_step
     if delay > 0.0:
-        # step stages must only query fully recorded history
+        # step stages must only read the delay line over completed steps
         max_step = min(max_step, 0.9 * delay)
     atol, rtol = cfg.abs_tol, max(cfg.rel_tol, 100 * math.ulp(1.0))
     rhs = model.derivative
 
-    history = ForceHistory(delay)
+    line = _DelayLine(model, delay)
     events: list[TraceEvent] = []
     rhs_calls = accepted = rejected_total = segments = 0
     h_min, h_max = math.inf, 0.0
@@ -507,24 +498,17 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
     x = tuple(float(v) for v in model.initial_state())
     contact = x[0] <= l0
     t_td = 0.0 if contact else math.nan
-    ctx = StepContext(contact, t_td, history.at)
-
-    f0 = model.leg_force(t, x, ctx)
-    history.append(t, f0, _force_rate(model, t, x, ctx, f0))
+    ctx = StepContext(contact, t_td, line.at)
     rec.record_state(t, x, ctx)
 
-    f = None                  # rhs(t, x), unknown at the start and after events
     prev_h: float | None = None
     while t < cfg.t_end - _TIME_EPS:
-        t_stop = cfg.t_end
-        if delay > 0.0:
-            t_stop = min(t_stop, history.next_break_after(t))
-        if t_stop <= t + _TIME_EPS:
-            t_stop = min(cfg.t_end, t + _TIME_EPS * 10)
-
-        if f is None:
-            f = rhs(t, x, ctx)
-            rhs_calls += 1
+        t_echo = line.next_break_after(t)
+        t_stop = min(cfg.t_end, t_echo)
+        # the force jump an echo delivers belongs to the segment after it
+        step_ctx = StepContext(contact, t_td, line.before) if t_echo <= cfg.t_end else ctx
+        f = rhs(t, x, ctx)
+        rhs_calls += 1
         if prev_h is None:
             h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
             rhs_calls += 1
@@ -543,7 +527,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                         f"step size underflow at t = {t:.9f} s ({model.name})")
                 t_new = min(t + h_abs, t_stop)
                 h = h_abs = t_new - t
-                x_new, f_new, stages, err = _dp45_step(rhs, ctx, t, h, x, f, atol, rtol)
+                x_new, f_new, stages, err = _dp45_step(rhs, step_ctx, t, h, x, f, atol, rtol)
                 rhs_calls += 6
                 if err < 1.0:
                     factor = _MAX_FACTOR if err == 0.0 else \
@@ -567,10 +551,9 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                 dense = _dense_output(t, h, x, stages)
                 t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
                 rec.record_span(dense, t, t_ev, ctx)
+                line.push(t, t_ev, dense if contact else None, ctx)
                 x_ev = model.clamp_state(dense(t_ev))
                 ydd_before = float(rhs(t_ev, x_ev, ctx)[1])
-                f_ev = model.leg_force(t_ev, x_ev, ctx)
-                history.append(t_ev, f_ev, _force_rate(model, t_ev, x_ev, ctx, f_ev))
                 # switch phase
                 kind = "liftoff" if contact else "touchdown"
                 contact = not contact
@@ -579,27 +562,25 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                     t_td = math.nan
                 else:
                     t_td = t_ev
-                ctx = StepContext(contact, t_td, history.at)
+                ctx = StepContext(contact, t_td, line.at)
                 ydd_after = float(rhs(t_ev, x_ev, ctx)[1])
-                f_ev = model.leg_force(t_ev, x_ev, ctx)
-                history.append(t_ev, f_ev, _force_rate(model, t_ev, x_ev, ctx, f_ev))
                 # the force jump reaches the reflex delayed, as do the kinks
                 # it imprints on the activation and force; stop on each echo
                 for k in (1, 2, 3):
-                    history.add_breakpoint(t_ev + k * delay)
+                    line.add_breakpoint(t_ev + k * delay)
                 events.append(TraceEvent(t_ev, kind, float(x_ev[0]), float(x_ev[1]),
                                          ydd_before, ydd_after))
-                t, x, f = t_ev, x_ev, None
+                t, x = t_ev, x_ev
                 break
 
+            dense = _dense_output(t, h, x, stages) if contact else None
             if rec.due(t_new):
-                rec.record_span(_dense_output(t, h, x, stages), t, t_new, ctx)
+                rec.record_span(dense or _dense_output(t, h, x, stages), t, t_new, ctx)
+            line.push(t, t_new, dense, ctx)
             x_acc = model.clamp_state(x_new)
             if x_acc is not x_new:
-                f_new = rhs(t_new, x_acc, ctx)
+                f_new = rhs(t_new, x_acc, step_ctx)
                 rhs_calls += 1
-            f_acc = model.leg_force(t_new, x_acc, ctx)
-            history.append(t_new, f_acc, _force_rate(model, t_new, x_acc, ctx, f_acc))
             t, x, f = t_new, x_acc, f_new
             g_prev = g_new
 

@@ -108,8 +108,8 @@ class MusFibParams:
             raise ValueError("f_max must be positive")
         if self.act_tau <= 0:
             raise ValueError("act_tau must be positive")
-        if self.reflex_delay < 0:
-            raise ValueError("reflex_delay must be non-negative")
+        if self.reflex_delay <= 0:
+            raise ValueError("reflex_delay must be positive")
         if not self.stim_min < self.stim_max:
             raise ValueError("stimulation bounds must be a non-empty interval")
         if self.v_max >= 0:
@@ -137,8 +137,8 @@ class MusLinParams:
             raise ValueError("fv_slope must be positive")
         if self.act_tau <= 0:
             raise ValueError("act_tau must be positive")
-        if self.reflex_delay < 0:
-            raise ValueError("reflex_delay must be non-negative")
+        if self.reflex_delay <= 0:
+            raise ValueError("reflex_delay must be positive")
         if not self.stim_min < self.stim_max:
             raise ValueError("stimulation bounds must be a non-empty interval")
 
@@ -189,9 +189,10 @@ class DCMotParams:
 class StepContext:
     """Phase information the integrator hands to the model callbacks.
 
-    ``delayed_force(t)`` returns the leg force at absolute time ``t``,
-    interpolated from the history of accepted integration steps (zero for
-    times before the start of the simulation).
+    ``delayed_force(t)`` returns ``leg_force`` on the dense output of the
+    accepted step that holds time ``t`` (zero in flight and before t = 0);
+    at a contact event, the post-event force, or its left limit in a step
+    that ends on the event's delay echo.
     """
 
     contact: bool
@@ -386,7 +387,7 @@ class HoppingModel:
     # delay handling -------------------------------------------------------
     @property
     def history_delay(self) -> float:
-        """Transport delay of the force feedback; 0 disables history lookups."""
+        """Transport delay of the force feedback; 0 if it reads no delayed force."""
         return 0.0
 
     # lifecycle ------------------------------------------------------------

@@ -71,6 +71,8 @@ class TestSimulate:
         assert len(trace) == 2001
         # the exact stance path has no tolerances or step size to report
         assert "abs_tol" not in trace.meta
+        reference = (trace_dir / "reference_stance.csv").read_bytes()
+        assert trace.meta["reference_source_sha256"] == hashlib.sha256(reference).hexdigest()
 
     def test_dcmot_reuses_cached_musfib_trace(self, trace_dir, tmp_path, capsys):
         _copy_traces(trace_dir, tmp_path, names=("musfib",))
@@ -238,6 +240,27 @@ class TestReport:
         err = capsys.readouterr().err
         assert "trace_muslin.csv" in err and "params.f_max" in err
         assert sorted(out.iterdir()) == before
+
+    def test_cached_dcmot_of_other_musfib_stance_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["report", "--duration", "2", "--out", str(out)]) == 0
+        sidecar = json.loads((out / "trace_dcmot.meta.json").read_text())
+        musfib_sha = hashlib.sha256((out / "trace_musfib.csv").read_bytes()).hexdigest()
+        assert sidecar["meta"]["reference_source_sha256"] == musfib_sha
+        for name in ("musfib", "muslin"):
+            for suffix in (".csv", ".meta.json"):
+                (out / f"trace_{name}{suffix}").unlink()
+        kept = {f: (out / f).read_bytes() for f in ("reference_stance.csv",
+                                                     "reference_stance.meta.json",
+                                                     "measures.json")}
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("f_max = 2600\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_dcmot.csv" in err and "reference_source_sha256" in err
+        assert {f: (out / f).read_bytes() for f in kept} == kept
 
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -9,9 +9,9 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 
 from hopmc.integrator import (
-    ForceHistory,
     IntegrationError,
     IntegratorConfig,
+    _DelayLine,
     _expm,
     contact_segments,
     extract_stance_reference,
@@ -24,6 +24,7 @@ from hopmc.models import (
     HopperCommon,
     HoppingModel,
     MusFibModel,
+    MusLinModel,
     StepContext,
     make_model,
 )
@@ -100,6 +101,15 @@ class TestSolverAccuracy:
             errs.append(abs(trace.y[-1] - math.exp(-1.0)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] > 30.0
+
+    def test_musfib_converges_across_tolerances(self):
+        """The muscle path's error floor: 2 s of musfib at 1e-10 and at the
+        default 1e-12 agree in y to 2e-8 m (the delay line gives 8.7e-10 m;
+        the Hermite history it replaced gave 2.7e-7 m)."""
+        y = [integrate(MusFibModel(), IntegratorConfig(t_end=2.0, abs_tol=tol,
+                                                       rel_tol=tol)).y
+             for tol in (1e-10, 1e-12)]
+        assert np.abs(y[0] - y[1]).max() <= 2e-8
 
     def test_sample_grid(self):
         trace = integrate(_DecayModel(), IntegratorConfig(t_end=0.25))
@@ -222,6 +232,15 @@ class TestTraceInvariants:
         trace = pipeline.traces[name]
         assert np.all(trace.ydd[~trace.contact] == -9.81)
 
+    @pytest.mark.parametrize("name", ["musfib", "muslin"])
+    def test_no_step_collapse_at_first_echo(self, pipeline, name):
+        # a step ending on a delay echo reads the delayed force's left
+        # limit; a right-continuous read made the controller reject its way
+        # down to steps of 1e-13 s there
+        meta = pipeline.traces[name].meta
+        assert meta["min_step_taken"] >= 1e-11
+        assert meta["rhs_calls"] / meta["t_end"] < 11_000
+
     def test_contact_flag_matches_height(self, pipeline):
         for trace in pipeline.traces.values():
             clear = np.abs(trace.y - 1.0) > 1e-6
@@ -307,50 +326,73 @@ class TestCsvRoundTrip:
 
 
 class TestForceHistory:
-    def test_empty_and_before_history(self):
-        h = ForceHistory(0.015)
-        assert h.at(0.0) == 0.0
-        h.append(0.0, 3.0)
-        assert h.at(-1.0) == 0.0
-        assert h.at(0.0) == 3.0
-        assert h.at(5.0) == 3.0     # flat beyond the last record
+    """The delay line: the leg force off the dense output of kept steps.
+    A 2 s delay keeps every step of the short lines built here."""
 
-    def test_hermite_reproduces_cubic(self):
-        # t^2 sampled with exact slopes is inside the interpolation family
-        h = ForceHistory()
-        for t in (0.0, 0.4, 1.0):
-            h.append(t, t * t, 2 * t)
-        for tq in (0.1, 0.2, 0.5, 0.77):
-            assert h.at(tq) == pytest.approx(tq * tq, abs=1e-15)
+    CONTACT, FLIGHT = StepContext(True, 0.5), StepContext(False)
+
+    @staticmethod
+    def _ramp(t):
+        # muslin's leg force on this state is 500 t [N]
+        return (0.95, 0.0, 0.2 * t)
+
+    def test_empty_and_before_history(self):
+        line = _DelayLine(MusLinModel(), 2.0)
+        assert line.at(-0.015) == 0.0 and line.before(0.0) == 0.0
+        line.push(0.0, 0.5, None, self.FLIGHT)
+        line.push(0.5, 0.51, self._ramp, self.CONTACT)
+        assert line.at(-1.0) == 0.0
+        assert line.at(0.0) == line.at(0.3) == line.before(0.5) == 0.0
+        assert line.at(0.505) == pytest.approx(252.5, rel=1e-14)
 
     def test_jump_is_right_continuous_and_queued(self):
-        h = ForceHistory(0.015)
-        h.append(0.0, 0.0)
-        h.append(1.0, 0.0)
-        h.append(1.0, 50.0)   # touchdown jump
-        h.append(1.1, 60.0, 100.0)
-        assert h.at(1.0) == 50.0
-        assert h.at(1.0 - 1e-9) == pytest.approx(0.0, abs=1e-6)
-        # the integrator queues the echoes; the history queues nothing itself
-        assert h.next_break_after(0.5) == math.inf
-        h.add_breakpoint(1.0 + h.delay)
-        h.add_breakpoint(1.0 + h.delay)     # a repeated echo is queued once
-        assert h.next_break_after(0.5) == pytest.approx(1.015)
-        assert h.next_break_after(1.015) == math.inf
+        line = _DelayLine(MusLinModel(), 2.0)
+        line.push(0.0, 1.0, None, self.FLIGHT)
+        line.push(1.0, 1.25, self._ramp, self.CONTACT)      # touchdown at 1.0
+        line.push(1.25, 1.26, None, self.FLIGHT)            # liftoff at 1.25
+        assert line.at(1.0) == pytest.approx(500.0, rel=1e-14)
+        assert line.at(math.nextafter(1.0, 0.0)) == 0.0
+        assert line.at(1.25) == 0.0
+        assert line.at(math.nextafter(1.25, 0.0)) == pytest.approx(625.0, rel=1e-14)
+        # the stages of a step ending on an echo read the pre-jump force
+        assert line.before(1.25) == pytest.approx(625.0, rel=1e-14)
+        assert line.before(1.1) == line.at(1.1)
+        # the integrator queues the echoes; the line queues nothing itself
+        assert line.next_break_after(0.5) == math.inf
+        line.add_breakpoint(1.265)
+        line.add_breakpoint(1.265)     # a repeated echo is queued once
+        assert line.next_break_after(0.5) == 1.265
+        assert line.next_break_after(1.265) == math.inf
+
+    def test_trimmed_cursor_matches_plain_search(self):
+        model, delay = MusLinModel(), 0.015
+        line = _DelayLine(model, delay)
+        rng = np.random.default_rng(0)
+        t, checked = 0.0, 0
+        for k in range(400):
+            h = float(rng.uniform(1e-4, 0.9 * delay))
+            contact = (k // 20) % 2 == 1
+            dense = (lambda tt, k=k: (0.95, 0.01 * k, 0.1 + 0.3 * tt)) if contact else None
+            line.push(t, t + h, dense, self.CONTACT if contact else self.FLIGHT)
+            t += h
+            # the first kept step reaches one delay back, the others start after that
+            assert line.steps[0][1] >= t - delay
+            assert all(s[0] >= t - delay for s in line.steps[1:])
+            # stage lookups reach back one delay, in any order
+            for q in t - delay * rng.uniform(0.1, 1.0, 6):
+                _, _, dense_q, ctx = next(s for s in line.steps if s[0] <= q < s[1])
+                expected = 0.0 if dense_q is None else model.leg_force(q, dense_q(q), ctx)
+                assert line.at(q) == expected
+                checked += expected != 0.0
+        assert checked > 500
 
     def test_breaks_consumed_in_order(self):
-        h = ForceHistory(0.01)
-        h.add_breakpoint(1.0)
-        h.add_breakpoint(2.0)
-        assert h.next_break_after(0.0) == 1.0
-        assert h.next_break_after(1.5) == 2.0
-        assert h.next_break_after(2.5) == math.inf
-
-    def test_monotonicity_enforced(self):
-        h = ForceHistory()
-        h.append(1.0, 0.0)
-        with pytest.raises(ValueError):
-            h.append(0.5, 0.0)
+        line = _DelayLine(MusLinModel(), 0.01)
+        line.add_breakpoint(1.0)
+        line.add_breakpoint(2.0)
+        assert line.next_break_after(0.0) == 1.0
+        assert line.next_break_after(1.5) == 2.0
+        assert line.next_break_after(2.5) == math.inf
 
 
 class TestStanceReference:

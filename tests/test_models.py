@@ -257,10 +257,14 @@ class TestParamValidation:
             MusFibParams(v_max=1.0)
         with pytest.raises(ValueError):
             MusFibParams(stim_min=0.5, stim_max=0.5)
+        with pytest.raises(ValueError):     # the delay line needs a delay
+            MusFibParams(reflex_delay=0.0)
 
     def test_muslin_invariants(self):
         with pytest.raises(ValueError):
             MusLinParams(fv_slope=-0.25)
+        with pytest.raises(ValueError):
+            MusLinParams(reflex_delay=0.0)
 
     def test_dcmot_invariants(self):
         with pytest.raises(ValueError):
