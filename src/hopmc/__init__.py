@@ -6,6 +6,7 @@ series on shared domains, and quantifies how much of the behavior is carried
 by the body dynamics rather than the controller.
 """
 
+from ._version import __version__
 from .models import (
     DCMotModel,
     DCMotParams,
@@ -41,5 +42,3 @@ from .measures import (
     mc_w_state,
     moving_average,
 )
-
-__version__ = "0.1.0"

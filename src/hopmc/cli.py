@@ -13,9 +13,14 @@ The motor model (``dcmot``) tracks the last complete stance of a musfib
 trace: ``simulate`` takes it from ``--reference``, else from the
 ``trace_musfib.csv`` in ``--out`` (simulating the default 8 s musfib run
 first when there is none); ``report`` takes it from the musfib trace of the
-same report.  The stance is written to ``reference_stance.csv``, never read
-back from there, and the hash of its source file goes into both sidecars;
-``report`` reuses a cached ``dcmot`` trace only if its hash is the report's.
+same report.  The stance is written to ``reference_stance.csv`` and never
+read back from there.
+
+Each trace sidecar holds the trace's provenance record (run length,
+parameters, integration path and settings, package version and, for
+``dcmot``, the digest of its stance).  ``report`` reuses a trace in ``--out``
+only if that record equals the one of the run it would make; it checks or
+simulates every trace in memory first, so a refusal writes no file.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  All outputs are
 deterministic; rerunning a command reproduces files byte for byte.
@@ -24,7 +29,6 @@ deterministic; rerunning a command reproduces files byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -36,6 +40,7 @@ from .integrator import (
     Trace,
     extract_stance_reference,
     load_trace,
+    provenance,
 )
 from .measures import (
     MeasureResult,
@@ -46,11 +51,9 @@ from .measures import (
 )
 from .models import (
     MODEL_NAMES,
-    HoppingModel,
     ReferenceTrajectory,
     load_config,
     make_model,
-    model_parts,
     parameter_names,
     write_csv,
 )
@@ -61,7 +64,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
 _REFERENCE_NAME = "reference_stance.csv"
-_SOURCE_KEY = "reference_source_sha256"    # in a dcmot trace's meta
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,38 +113,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _trace_path(out: Path, model: str) -> Path:
     return out / f"trace_{model}.csv"
 
 
-def _simulate(model_name: str, duration: float, overrides: dict | None,
-              reference: tuple[ReferenceTrajectory, str] | None = None) -> Trace:
-    """Simulate one model; dcmot's meta records its reference's source hash."""
-    model = make_model(model_name, overrides, reference=reference[0] if reference else None)
-    trace = integrator.integrate(model, IntegratorConfig(t_end=duration))
-    if reference:
-        trace.meta[_SOURCE_KEY] = reference[1]
-    return trace
-
-
-def _write_reference(out: Path, musfib: Trace) -> tuple[ReferenceTrajectory, str]:
-    """The stance reference of ``musfib``, the trace saved as
-    ``trace_musfib.csv`` in ``out``, and that file's hash, written next to it."""
-    musfib_csv = _trace_path(out, "musfib")
-    reference = extract_stance_reference(musfib)
+def _write_reference(out: Path, reference: ReferenceTrajectory) -> None:
+    """Save the stance taken from the ``trace_musfib.csv`` in ``out`` next to it."""
     path = reference.to_csv(out / _REFERENCE_NAME)
-    source = _sha256(musfib_csv)
-    meta = {"source_trace": musfib_csv.name, "source_trace_sha256": source}
+    meta = {"source_trace": _trace_path(out, "musfib").name,
+            "reference_sha256": reference.sha256}
     integrator.meta_path(path).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return reference, source
 
 
-def _reference_from_out(out: Path) -> tuple[ReferenceTrajectory, str]:
+def _reference_from_out(out: Path) -> ReferenceTrajectory:
     """The stance of the ``trace_musfib.csv`` in ``out``; when there is none,
     of the default 8 s musfib run, which is saved there first."""
     musfib_csv = _trace_path(out, "musfib")
@@ -150,9 +134,11 @@ def _reference_from_out(out: Path) -> tuple[ReferenceTrajectory, str]:
         musfib = load_trace(musfib_csv)
     else:
         print(f"no {musfib_csv}; simulating musfib first", file=sys.stderr)
-        musfib = _simulate("musfib", 8.0, None)
+        musfib = integrator.integrate(make_model("musfib"), IntegratorConfig())
         musfib.save(musfib_csv)
-    return _write_reference(out, musfib)
+    reference = extract_stance_reference(musfib)
+    _write_reference(out, reference)
+    return reference
 
 
 def cmd_simulate(args) -> int:
@@ -160,9 +146,10 @@ def cmd_simulate(args) -> int:
     overrides = load_config(args.config) if args.config else None
     reference = None
     if args.model == "dcmot":
-        reference = ((ReferenceTrajectory.from_csv(args.reference), _sha256(args.reference))
-                     if args.reference else _reference_from_out(args.out))
-    trace = _simulate(args.model, args.duration, overrides, reference)
+        reference = (ReferenceTrajectory.from_csv(args.reference) if args.reference
+                     else _reference_from_out(args.out))
+    model = make_model(args.model, overrides, reference)
+    trace = integrator.integrate(model, IntegratorConfig(t_end=args.duration))
     path = trace.save(_trace_path(args.out, args.model))
     print(f"wrote {path} ({len(trace)} rows, "
           f"max height after transient: "
@@ -261,29 +248,21 @@ def _scope_overrides(overrides: dict[str, float]) -> dict[str, dict[str, float]]
     return {m: {k: v for k, v in overrides.items() if k in names[m]} for m in MODEL_NAMES}
 
 
-def _cached_traces(out: Path, duration: float,
-                   overrides: dict[str, dict[str, float]]) -> dict[str, Trace]:
-    """The trace files in ``out`` that this report can reuse.  A trace whose
-    sidecar records another ``t_end`` or other ``params`` than this run
-    would simulate is an error, naming the file and the first differing key."""
-    cached = {}
-    for name in MODEL_NAMES:
-        path = _trace_path(out, name)
-        if not path.exists():
-            continue
-        trace = load_trace(path)
-        params = HoppingModel(*model_parts(name, overrides[name])).params_dict()
-        want = {"t_end": duration, **{f"params.{k}": v for k, v in params.items()}}
-        have = {"t_end": trace.meta.get("t_end"),
-                **{f"params.{k}": v for k, v in trace.meta.get("params", {}).items()}}
-        _refuse_stale(path, want, have)
-        cached[name] = trace
-    return cached
+def _flat(record: dict) -> dict:
+    """``record`` with each dict value spread into ``key.subkey`` entries."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update((f"{key}.{k}", v) for k, v in value.items())
+        else:
+            out[key] = value
+    return out
 
 
-def _refuse_stale(path: Path, want: dict, have: dict) -> None:
-    """Fail naming ``path`` and the first key whose recorded value differs
-    from what this report needs."""
+def _refuse_stale(path: Path, record: dict, meta: dict) -> None:
+    """Fail naming ``path`` and the first key of the provenance ``record``
+    whose value in the cached trace's ``meta`` differs."""
+    want, have = _flat(record), _flat({k: meta.get(k) for k in record})
     stale = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
     if stale:
         key = stale[0]
@@ -296,24 +275,32 @@ def cmd_report(args) -> int:
     if args.smooth_block < 1 or args.smooth_block % 2 == 0:
         raise ValueError(f"--smooth-block must be odd, got {args.smooth_block}")
     overrides = _scope_overrides(load_config(args.config) if args.config else {})
-    cached = _cached_traces(args.out, args.duration, overrides)
-    args.out.mkdir(parents=True, exist_ok=True)
-    traces = {}
+    cfg = IntegratorConfig(t_end=args.duration)
+    # every trace is checked or simulated in memory before any file is written
+    traces, fresh, reference = {}, [], None
     for name in MODEL_NAMES:
+        if name == "dcmot":     # MODEL_NAMES lists musfib first, whose stance it tracks
+            reference = extract_stance_reference(traces["musfib"])
+        model = make_model(name, overrides[name], reference)
         path = _trace_path(args.out, name)
-        if name in cached:
-            if name == "dcmot":     # it must track this report's musfib stance
-                _refuse_stale(path, {_SOURCE_KEY: _sha256(_trace_path(args.out, "musfib"))},
-                              {_SOURCE_KEY: cached[name].meta.get(_SOURCE_KEY)})
+        if path.exists():
+            traces[name] = load_trace(path)
+            _refuse_stale(path, provenance(model, cfg), traces[name].meta)
+        else:
+            traces[name] = integrator.integrate(model, cfg)
+            fresh.append(name)
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    for name, trace in traces.items():
+        path = _trace_path(args.out, name)
+        if name not in fresh:
             print(f"using cached {path}")
-            traces[name] = cached[name]
             continue
-        # MODEL_NAMES lists musfib before dcmot, whose reference it provides
-        reference = _write_reference(args.out, traces["musfib"]) if name == "dcmot" else None
-        trace = traces[name] = _simulate(name, args.duration, overrides[name], reference)
         trace.save(path)
         print(f"wrote {path} (max height after transient: "
               f"{trace.meta['max_height_post_transient']:.4f} m)")
+    if "dcmot" in fresh:
+        _write_reference(args.out, reference)
 
     spec, discrete = _discretize(list(traces.values()), args.bins)
     results = [compute_measures(d) for d in discrete]

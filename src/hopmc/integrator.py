@@ -37,8 +37,9 @@ choice), segment by segment:
 
 On both paths the recorded acceleration channel re-evaluates the
 right-hand side at the sample point; it is not a finite difference of the
-velocity channel.  ``Trace.meta`` records the path (``stepper``), the
-settings that path used and its deterministic work counts.
+velocity channel.  ``Trace.meta`` holds the trace's :func:`provenance`
+record, everything the samples depend on, and the path's deterministic work
+counts.
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import mul
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import matrix_balance
 
+from ._version import __version__
 from .models import (HoppingModel, LinearStance, ReferenceTrajectory, StepContext,
                      hermite_coeffs, write_csv)
 
@@ -63,6 +65,7 @@ __all__ = [
     "TraceEvent",
     "IntegrationError",
     "integrate",
+    "provenance",
     "extract_stance_reference",
     "contact_segments",
     "load_trace",
@@ -103,14 +106,6 @@ class TraceEvent:
     yd: float
     ydd_before: float
     ydd_after: float
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "kind": self.kind, "y": self.y, "yd": self.yd,
-                "ydd_before": self.ydd_before, "ydd_after": self.ydd_after}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceEvent":
-        return cls(d["t"], d["kind"], d["y"], d["yd"], d["ydd_before"], d["ydd_after"])
 
 
 @dataclass
@@ -156,7 +151,7 @@ class Trace:
             "model": self.model,
             "action_kind": self.action_kind,
             "sensor_names": list(self.sensor_names),
-            "events": [e.to_dict() for e in self.events],
+            "events": [asdict(e) for e in self.events],
             "meta": self.meta,
         }
         meta_path(path).write_text(
@@ -190,7 +185,7 @@ def load_trace(path: str | Path) -> Trace:
         sensors=data[:, 4:4 + n_sensors],
         action=data[:, 4 + n_sensors],
         contact=data[:, 5 + n_sensors] != 0.0,
-        events=[TraceEvent.from_dict(d) for d in sidecar["events"]],
+        events=[TraceEvent(**d) for d in sidecar["events"]],
         meta=sidecar["meta"],
     )
 
@@ -299,7 +294,6 @@ class _Recorder:
 
     def record_state(self, t: float, x, ctx: StepContext) -> None:
         i = self.next_idx
-        x = self.model.clamp_state(x)
         self.y[i] = x[0]
         self.yd[i] = x[1]
         self.ydd[i] = self.model.derivative(t, x, ctx)[1]
@@ -313,6 +307,23 @@ class _Recorder:
         while self.due(t_hi):
             tk = min(self._times[self.next_idx], t_hi)
             self.record_state(tk, dense(tk), ctx)
+
+
+def provenance(model: HoppingModel, cfg: IntegratorConfig) -> dict:
+    """Everything a trace of ``model`` under ``cfg`` depends on: the path
+    (``stepper``) and the settings it uses, ``t_end``, the parameters, the
+    package version and, for a model that tracks a stance, that reference's
+    digest.  A stored trace can stand in for a new run only if its record is
+    equal."""
+    record = {"t_end": cfg.t_end, "params": model.params_dict(), "version": __version__}
+    if model.stance_system() is None:
+        record.update(stepper="rk45", abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
+                      max_step=cfg.max_step)
+    else:
+        record["stepper"] = "exact-stance"
+    if model.reference is not None:
+        record["reference_sha256"] = model.reference.sha256
+    return record
 
 
 def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace:
@@ -347,8 +358,7 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         sensors=rec.sensors, action=rec.action, contact=rec.contact,
         events=events,
         meta={
-            "params": model.params_dict(),
-            "t_end": cfg.t_end,
+            **provenance(model, cfg),
             "sample_rate": _SAMPLE_RATE,
             "transient": transient,
             "max_height_post_transient": float(rec.y[rec.t >= transient].max()),
@@ -476,9 +486,9 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
     and no growth right after a rejection.  A segment starts with a fresh
     first stage and the size of the last step taken (the first one with
     :func:`_initial_step`); within it each step reuses the previous step's
-    last stage (re-evaluated when a clamp moved the state).  The interpolant
-    is built for every contact step, which the delay line keeps, and for the
-    flight steps that hold a grid sample or an event.
+    last stage.  The interpolant is built for every contact step, which the
+    delay line keeps, and for the flight steps that hold a grid sample or an
+    event.
     """
     l0 = model.common.rest_length
     delay = model.history_delay
@@ -552,7 +562,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                 t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
                 rec.record_span(dense, t, t_ev, ctx)
                 line.push(t, t_ev, dense if contact else None, ctx)
-                x_ev = model.clamp_state(dense(t_ev))
+                x_ev = dense(t_ev)
                 ydd_before = float(rhs(t_ev, x_ev, ctx)[1])
                 # switch phase
                 kind = "liftoff" if contact else "touchdown"
@@ -577,18 +587,12 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
             if rec.due(t_new):
                 rec.record_span(dense or _dense_output(t, h, x, stages), t, t_new, ctx)
             line.push(t, t_new, dense, ctx)
-            x_acc = model.clamp_state(x_new)
-            if x_acc is not x_new:
-                f_new = rhs(t_new, x_acc, step_ctx)
-                rhs_calls += 1
-            t, x, f = t_new, x_acc, f_new
+            t, x, f = t_new, x_new, f_new
             g_prev = g_new
 
-    return events, {"stepper": "rk45", "abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol,
-                    "max_step": cfg.max_step, "rhs_calls": rhs_calls,
-                    "accepted_steps": accepted, "rejected_steps": rejected_total,
-                    "segments": segments, "min_step_taken": h_min,
-                    "max_step_taken": h_max}
+    return events, {"rhs_calls": rhs_calls, "accepted_steps": accepted,
+                    "rejected_steps": rejected_total, "segments": segments,
+                    "min_step_taken": h_min, "max_step_taken": h_max}
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +787,7 @@ def _propagate_exact(model: HoppingModel, cfg: IntegratorConfig, rec: _Recorder,
     l0, gravity = model.common.rest_length, model.common.gravity
     flow = _StanceFlow(system)
     events: list[TraceEvent] = []
-    stats = {"stepper": "exact-stance", "intervals": 0, "newton_iterations": 0}
+    stats = {"intervals": 0, "newton_iterations": 0}
 
     t = 0.0
     x = np.asarray(model.initial_state(), dtype=float)

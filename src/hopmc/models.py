@@ -23,6 +23,7 @@ an array per stage.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -353,6 +354,15 @@ class ReferenceTrajectory:
         return (cy[0] + dt * (cy[1] + dt * (cy[2] + dt * cy[3])),
                 cv[0] + dt * (cv[1] + dt * (cv[2] + dt * cv[3])))
 
+    @property
+    def sha256(self) -> str:
+        """SHA-256 of the (tau, y, yd, ydd) float64 bytes: the same for the
+        same samples, whether extracted in memory or read from a CSV."""
+        digest = hashlib.sha256()
+        for channel in (self.tau, self.y, self.yd, self.ydd):
+            digest.update(channel.tobytes())
+        return digest.hexdigest()
+
     def to_csv(self, path: str | Path) -> Path:
         return write_csv(path, "tau,y,yd,ydd", (self.tau, self.y, self.yd, self.ydd))
 
@@ -373,12 +383,14 @@ class HoppingModel:
 
     State layout is ``[y, yd, aux]`` where aux is the muscle activation for
     the muscle models and the winding current for the motor model.
-    ``params`` is the actuator's parameter dataclass.
+    ``params`` is the actuator's parameter dataclass; ``reference`` is the
+    stance the controller tracks, if any.
     """
 
     name: str = ""
     action_kind: str = ""                  # "muscle" or "motor", sets normalization
     sensor_names: tuple[str, ...] = ()
+    reference: ReferenceTrajectory | None = None
 
     def __init__(self, common: HopperCommon, params=None):
         self.common = common
@@ -396,11 +408,6 @@ class HoppingModel:
 
     def on_liftoff(self, x: Sequence[float]) -> Sequence[float]:
         """State adjustment applied at the stance->flight transition."""
-        return x
-
-    def clamp_state(self, x: Sequence[float]) -> Sequence[float]:
-        """Numerical safety clamp applied after accepted steps; returns ``x``
-        itself when nothing is clamped."""
         return x
 
     # dynamics -------------------------------------------------------------
@@ -444,11 +451,6 @@ class _MuscleModel(HoppingModel):
     def initial_state(self) -> np.ndarray:
         # apex of the target periodic orbit, activation settled at baseline
         return np.array([1.070, 0.0, self.params.stim_base])
-
-    def clamp_state(self, x: Sequence[float]) -> Sequence[float]:
-        if x[2] < 0.0 or x[2] > 1.0:
-            return (x[0], x[1], min(max(x[2], 0.0), 1.0))
-        return x
 
     def control(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         f_delayed = ctx.delayed_force(t - self.params.reflex_delay)
@@ -618,10 +620,9 @@ def parameter_names(name: str) -> set[str]:
     return {f.name for f in fields(_PARAM_TYPES[name])} | _COMMON_FIELDS
 
 
-def model_parts(name: str, overrides: dict[str, float] | None = None
-                ) -> tuple[HopperCommon, MusFibParams | MusLinParams | DCMotParams]:
-    """The shared hopper and the parameter set of model ``name`` under the
-    given overrides, as :func:`make_model` builds them."""
+def make_model(name: str, overrides: dict[str, float] | None = None,
+               reference: ReferenceTrajectory | None = None) -> HoppingModel:
+    """Build a model from its name and optional parameter overrides."""
     name = name.lower()
     if name not in _PARAM_TYPES:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
@@ -633,21 +634,12 @@ def model_parts(name: str, overrides: dict[str, float] | None = None
     if overrides:
         raise ValueError(f"unknown parameter(s) for {name}: {sorted(overrides)}")
     params = param_type(**param_kwargs)
-    if name == "dcmot":
-        # the motor hopper carries the scaled-down body mass unless overridden
-        common_kwargs.setdefault("mass", params.body_mass)
-    return HopperCommon(**common_kwargs), params
-
-
-def make_model(name: str, overrides: dict[str, float] | None = None,
-               reference: ReferenceTrajectory | None = None) -> HoppingModel:
-    """Build a model from its name and optional parameter overrides."""
-    common, params = model_parts(name, overrides)
-    name = name.lower()
     if name == "musfib":
-        return MusFibModel(common, params)
+        return MusFibModel(HopperCommon(**common_kwargs), params)
     if name == "muslin":
-        return MusLinModel(common, params)
+        return MusLinModel(HopperCommon(**common_kwargs), params)
     if reference is None:
         raise ValueError("dcmot requires a stance reference trajectory")
-    return DCMotModel(reference, params, common)
+    # the motor hopper carries the scaled-down body mass unless overridden
+    common_kwargs.setdefault("mass", params.body_mass)
+    return DCMotModel(reference, params, HopperCommon(**common_kwargs))

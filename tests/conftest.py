@@ -6,8 +6,7 @@ session and shared by the acceptance tests and the trace-level unit tests.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -66,10 +65,5 @@ def trace_dir(pipeline, tmp_path_factory):
     out = tmp_path_factory.mktemp("traces")
     for name, trace in pipeline.traces.items():
         trace.save(out / f"trace_{name}.csv")
-    # as the CLI writes it: the dcmot sidecar names the musfib trace it tracked
-    source = hashlib.sha256((out / "trace_musfib.csv").read_bytes()).hexdigest()
-    dcmot = pipeline.traces["dcmot"]
-    replace(dcmot, meta={**dcmot.meta, "reference_source_sha256": source}).save(
-        out / "trace_dcmot.csv")
     pipeline.reference.to_csv(out / "reference_stance.csv")
     return out

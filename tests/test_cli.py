@@ -1,6 +1,5 @@
 """Command-line interface: verbs, exit codes, file outputs, determinism."""
 
-import hashlib
 import json
 import os
 import shutil
@@ -13,7 +12,8 @@ import pytest
 
 import hopmc
 from hopmc.cli import main
-from hopmc.integrator import extract_stance_reference, load_trace
+from hopmc.integrator import IntegratorConfig, extract_stance_reference, integrate, load_trace
+from hopmc.models import make_model
 
 
 def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
@@ -22,6 +22,11 @@ def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
         for suffix in (".csv", ".meta.json"):
             shutil.copy(trace_dir / f"trace_{name}{suffix}", dest)
     return [str(dest / f"trace_{n}.csv") for n in names]
+
+
+def _snapshot(directory):
+    """The name and bytes of every file in ``directory``."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 class TestSimulate:
@@ -38,6 +43,7 @@ class TestSimulate:
         meta = json.loads((tmp_path / "trace_musfib.meta.json").read_text())
         assert meta["model"] == "musfib"
         assert meta["meta"]["abs_tol"] == 1e-12
+        assert meta["meta"]["version"] == hopmc.__version__
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -71,8 +77,9 @@ class TestSimulate:
         assert len(trace) == 2001
         # the exact stance path has no tolerances or step size to report
         assert "abs_tol" not in trace.meta
-        reference = (trace_dir / "reference_stance.csv").read_bytes()
-        assert trace.meta["reference_source_sha256"] == hashlib.sha256(reference).hexdigest()
+        # the stance read from its CSV has the digest of the one made in memory
+        in_memory = load_trace(trace_dir / "trace_dcmot.csv").meta["reference_sha256"]
+        assert trace.meta["reference_sha256"] == in_memory
 
     def test_dcmot_reuses_cached_musfib_trace(self, trace_dir, tmp_path, capsys):
         _copy_traces(trace_dir, tmp_path, names=("musfib",))
@@ -83,7 +90,9 @@ class TestSimulate:
         assert (tmp_path / "reference_stance.csv").exists()
         meta = json.loads((tmp_path / "reference_stance.meta.json").read_text())
         assert meta["source_trace"] == "trace_musfib.csv"
-        assert len(meta["source_trace_sha256"]) == 64
+        in_memory = load_trace(trace_dir / "trace_dcmot.csv").meta["reference_sha256"]
+        assert meta["reference_sha256"] == in_memory
+        assert load_trace(tmp_path / "trace_dcmot.csv").meta["reference_sha256"] == in_memory
         assert "simulating musfib" not in capsys.readouterr().err
 
     def test_stale_reference_in_out_is_not_used(self, trace_dir, tmp_path):
@@ -103,10 +112,13 @@ class TestSimulate:
             assert main(["simulate", "--model", "dcmot", "--duration", "1", *argv]) == 0
         assert (out / "trace_dcmot.csv").read_bytes() == \
             (explicit / "trace_dcmot.csv").read_bytes()
+        # both paths track one stance, so they record one provenance
+        assert (out / "trace_dcmot.meta.json").read_bytes() == \
+            (explicit / "trace_dcmot.meta.json").read_bytes()
         assert (out / "reference_stance.csv").read_bytes() == fresh.read_bytes()
         meta = json.loads((out / "reference_stance.meta.json").read_text())
-        musfib_sha = hashlib.sha256((out / "trace_musfib.csv").read_bytes()).hexdigest()
-        assert meta["source_trace_sha256"] == musfib_sha
+        assert meta["reference_sha256"] == load_trace(out / "trace_dcmot.csv").meta[
+            "reference_sha256"]
 
     def test_dcmot_voltage_bound_breach_is_numerical_failure(self, trace_dir, tmp_path,
                                                              capsys):
@@ -245,22 +257,33 @@ class TestReport:
         out = tmp_path / "out"
         assert main(["report", "--duration", "2", "--out", str(out)]) == 0
         sidecar = json.loads((out / "trace_dcmot.meta.json").read_text())
-        musfib_sha = hashlib.sha256((out / "trace_musfib.csv").read_bytes()).hexdigest()
-        assert sidecar["meta"]["reference_source_sha256"] == musfib_sha
+        reference = json.loads((out / "reference_stance.meta.json").read_text())
+        assert sidecar["meta"]["reference_sha256"] == reference["reference_sha256"]
         for name in ("musfib", "muslin"):
             for suffix in (".csv", ".meta.json"):
                 (out / f"trace_{name}{suffix}").unlink()
-        kept = {f: (out / f).read_bytes() for f in ("reference_stance.csv",
-                                                     "reference_stance.meta.json",
-                                                     "measures.json")}
+        kept = _snapshot(out)
         cfg = tmp_path / "p.cfg"
         cfg.write_text("f_max = 2600\n", encoding="utf-8")
         capsys.readouterr()
         rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "trace_dcmot.csv" in err and "reference_source_sha256" in err
-        assert {f: (out / f).read_bytes() for f in kept} == kept
+        assert "trace_dcmot.csv" in err and "reference_sha256" in err
+        # the refusal writes nothing: the deleted muscle traces stay absent
+        assert _snapshot(out) == kept
+
+    def test_cached_trace_of_other_tolerance_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = IntegratorConfig(t_end=2, abs_tol=1e-10, rel_tol=1e-10)
+        integrate(make_model("musfib"), cfg).save(out / "trace_musfib.csv")
+        kept = _snapshot(out)
+        rc = main(["report", "--duration", "2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_musfib.csv" in err and "abs_tol" in err
+        assert _snapshot(out) == kept
 
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

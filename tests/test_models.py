@@ -216,13 +216,6 @@ class TestSystemDerivative:
         assert model.on_liftoff(x)[2] == 0.0
         assert x[2] == 2.5  # original untouched
 
-    def test_activation_clamp(self):
-        model = MusFibModel()
-        x = np.array([1.0, 0.0, 1.0 + 1e-12])
-        assert model.clamp_state(x)[2] == 1.0
-        x_ok = np.array([1.0, 0.0, 0.5])
-        assert model.clamp_state(x_ok) is x_ok
-
 
 class TestDCMotMassScaling:
     def test_derived_mass_value(self):
