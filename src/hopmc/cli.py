@@ -19,8 +19,9 @@ read back from there.
 Each trace sidecar holds the trace's provenance record (run length,
 parameters, integration path and settings, package version and, for
 ``dcmot``, the digest of its stance).  ``report`` reuses a trace in ``--out``
-only if that record equals the one of the run it would make; it checks or
-simulates every trace in memory first, so a refusal writes no file.
+only if that record equals the one of the run it would make.  Both
+``simulate`` and ``report`` make every trace in memory first, so a refusal
+or a numerical failure writes no file.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  All outputs are
 deterministic; rerunning a command reproduces files byte for byte.
@@ -126,30 +127,33 @@ def _write_reference(out: Path, reference: ReferenceTrajectory) -> None:
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _reference_from_out(out: Path) -> ReferenceTrajectory:
-    """The stance of the ``trace_musfib.csv`` in ``out``; when there is none,
-    of the default 8 s musfib run, which is saved there first."""
+def _musfib_from_out(out: Path) -> tuple[Trace, bool]:
+    """The ``trace_musfib.csv`` in ``out`` and False; when there is none, the
+    default 8 s musfib run, simulated in memory, and True."""
     musfib_csv = _trace_path(out, "musfib")
     if musfib_csv.exists():
-        musfib = load_trace(musfib_csv)
-    else:
-        print(f"no {musfib_csv}; simulating musfib first", file=sys.stderr)
-        musfib = integrator.integrate(make_model("musfib"), IntegratorConfig())
-        musfib.save(musfib_csv)
-    reference = extract_stance_reference(musfib)
-    _write_reference(out, reference)
-    return reference
+        return load_trace(musfib_csv), False
+    print(f"no {musfib_csv}; simulating musfib first", file=sys.stderr)
+    return integrator.integrate(make_model("musfib"), IntegratorConfig()), True
 
 
 def cmd_simulate(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     overrides = load_config(args.config) if args.config else None
-    reference = None
-    if args.model == "dcmot":
-        reference = (ReferenceTrajectory.from_csv(args.reference) if args.reference
-                     else _reference_from_out(args.out))
+    reference, musfib, fresh_musfib = None, None, False
+    if args.model == "dcmot" and args.reference:
+        reference = ReferenceTrajectory.from_csv(args.reference)
+    elif args.model == "dcmot":
+        musfib, fresh_musfib = _musfib_from_out(args.out)
+        reference = extract_stance_reference(musfib)
     model = make_model(args.model, overrides, reference)
     trace = integrator.integrate(model, IntegratorConfig(t_end=args.duration))
+    # only a run that succeeded writes: the musfib trace it simulated, the
+    # stance it took from that trace, then its own trace
+    args.out.mkdir(parents=True, exist_ok=True)
+    if fresh_musfib:
+        musfib.save(_trace_path(args.out, "musfib"))
+    if musfib is not None:
+        _write_reference(args.out, reference)
     path = trace.save(_trace_path(args.out, args.model))
     print(f"wrote {path} ({len(trace)} rows, "
           f"max height after transient: "

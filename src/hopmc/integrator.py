@@ -14,8 +14,9 @@ propagated in closed form, with no step-size control:
   sample offsets are computed once.  Liftoff is found by Newton's method on
   the exact y(s) = l0;
 * the solution is exact only while the PD voltage stays inside its bound,
-  which is checked at every interval end and every sample.  A breach raises
-  :class:`IntegrationError`; there is no fallback stepper.
+  which is checked at every interval end and every sample.  A breach, or a
+  non-finite state, raises :class:`IntegrationError`; there is no fallback
+  stepper.
 
 All other models (the muscles) are stepped on plain floats with the 4(5)
 Dormand-Prince pair and its quartic dense output, the algorithm of scipy's
@@ -53,7 +54,6 @@ from operator import mul
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import matrix_balance
 
 from ._version import __version__
 from .models import (HoppingModel, LinearStance, ReferenceTrajectory, StepContext,
@@ -82,14 +82,17 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    """Settings of the muscles' Dormand-Prince stepper (``tol``, the
+    absolute and relative tolerance, and ``max_step``) and the run length
+    of every model."""
+
+    tol: float = 1e-12
     t_end: float = 8.0
     max_step: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if self.max_step <= 0:
@@ -317,8 +320,7 @@ def provenance(model: HoppingModel, cfg: IntegratorConfig) -> dict:
     equal."""
     record = {"t_end": cfg.t_end, "params": model.params_dict(), "version": __version__}
     if model.stance_system() is None:
-        record.update(stepper="rk45", abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-                      max_step=cfg.max_step)
+        record.update(stepper="rk45", tol=cfg.tol, max_step=cfg.max_step)
     else:
         record["stepper"] = "exact-stance"
     if model.reference is not None:
@@ -496,7 +498,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
     if delay > 0.0:
         # step stages must only read the delay line over completed steps
         max_step = min(max_step, 0.9 * delay)
-    atol, rtol = cfg.abs_tol, max(cfg.rel_tol, 100 * math.ulp(1.0))
+    atol, rtol = cfg.tol, max(cfg.tol, 100 * math.ulp(1.0))
     rhs = model.derivative
 
     line = _DelayLine(model, delay)
@@ -639,6 +641,72 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return r
 
 
+# LAPACK dgebal's safe range, dlamch('S') / dlamch('P') to its inverse, and
+# that range narrowed by one factor of two
+_SFMIN1 = np.finfo(float).tiny / np.finfo(float).eps
+_SFMAX1 = 1.0 / _SFMIN1
+_SFMIN2 = 2.0 * _SFMIN1
+_SFMAX2 = 1.0 / _SFMIN2
+
+
+def _norm_and_max(v: np.ndarray) -> tuple[float, float]:
+    """2-norm and largest magnitude of ``v``; the norm is taken of ``v``
+    divided by that magnitude, so it cannot overflow."""
+    big = float(np.abs(v).max())
+    if big == 0.0:
+        return 0.0, 0.0
+    return big * math.sqrt(float(((v / big) ** 2).sum())), big
+
+
+def _balance(matrix: np.ndarray) -> np.ndarray:
+    """Scale vector d, powers of two, for which D^-1 M D has rows and
+    columns of about equal 2-norm (Parlett & Reinsch 1969).
+
+    A port of LAPACK (3.5 and later) ``dgebal`` in scaling-only mode, the
+    vector ``scipy.linalg.matrix_balance(m, permute=False, separate=True)``
+    returns: sweep the rows until no scaling shrinks a row and column's
+    norm sum below 0.95 of what it was, keeping every factor in dgebal's
+    safe range.
+    """
+    a = np.array(matrix, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("cannot balance a matrix with non-finite entries")
+    scale = np.ones(len(a))
+    converged = False
+    while not converged:
+        converged = True
+        for i in range(len(a)):
+            c, ca = _norm_and_max(a[:, i])
+            r, ra = _norm_and_max(a[i])
+            if c == 0.0 or r == 0.0:
+                continue
+            total, f, g = c + r, 1.0, r / 2.0
+            while c < g and max(f, c, ca) < _SFMAX2 and min(r, g, ra) > _SFMIN2:
+                f, c, ca, r, g, ra = 2.0 * f, 2.0 * c, 2.0 * ca, r / 2.0, g / 2.0, ra / 2.0
+            g = c / 2.0
+            while g >= r and max(r, ra) < _SFMAX2 and min(f, c, g, ca) > _SFMIN2:
+                f, c, g, ca, r, ra = f / 2.0, c / 2.0, g / 2.0, ca / 2.0, 2.0 * r, 2.0 * ra
+            if c + r >= 0.95 * total \
+                    or (f < 1.0 and scale[i] < 1.0 and f * scale[i] <= _SFMIN1) \
+                    or (f > 1.0 and scale[i] > 1.0 and scale[i] >= _SFMAX1 / f):
+                continue
+            scale[i] *= f
+            a[i] /= f
+            a[:, i] *= f
+            converged = False
+    return scale
+
+
+def _stance_generator(system: LinearStance) -> np.ndarray:
+    """Van Loan's 8x8 block generator [[A, B], [0, S]] of a linear stance."""
+    generator = np.zeros((8, 8))
+    generator[:3, :3] = system.matrix
+    generator[:3, 3] = system.input_gain
+    generator[:3, 7] = system.drift
+    generator[3, 4] = generator[4, 5] = generator[5, 6] = 1.0
+    return generator
+
+
 class _StanceFlow:
     """Exact flow of a :class:`LinearStance` across one piece of its input.
 
@@ -651,15 +719,12 @@ class _StanceFlow:
     """
 
     def __init__(self, system: LinearStance):
-        generator = np.zeros((8, 8))
-        generator[:3, :3] = system.matrix
-        generator[:3, 3] = system.input_gain
-        generator[:3, 7] = system.drift
-        generator[3, 4] = generator[4, 5] = generator[5, 6] = 1.0
-        # A diagonal similarity by powers of two shrinks the motor's 1-norm
-        # from about 3e6/s to 1e4/s; unbalanced, the squarings of the Pade
-        # approximant cost about 1e-11 m of accuracy in y per interval.
-        _, (scale, _) = matrix_balance(generator, permute=False, separate=True)
+        generator = _stance_generator(system)
+        # A diagonal similarity by powers of two (LAPACK dgebal's balancing)
+        # shrinks the motor's 1-norm from about 3e6/s to 1e4/s; unbalanced,
+        # the squarings of the Pade approximant cost about 1e-11 m of
+        # accuracy in y per interval.
+        scale = _balance(generator)
         self._generator = generator * scale / scale[:, None]
         self._unscale = scale[:3, None] / scale
         self._cache: dict[float, np.ndarray] = {}
@@ -694,9 +759,14 @@ def _input_pieces(system: LinearStance, period: float):
 
 def _check_input(model: HoppingModel, system: LinearStance, t: float, x: np.ndarray,
                  coeffs: np.ndarray, sigma: float) -> None:
-    """Fail unless the stance input at ``t`` lies inside the linear model's bound."""
+    """Fail unless the stance input at ``t`` is finite and inside the linear
+    model's bound.  A non-finite state makes the input non-finite too, its
+    zero feedback gains included (0 * inf is nan)."""
     c0, c1, c2, c3 = coeffs
     u = float(system.feedback @ x) + c0 + sigma * (c1 + sigma * (c2 + sigma * c3))
+    if not math.isfinite(u):
+        raise IntegrationError(
+            f"non-finite stance state or input at t = {t:.9f} s ({model.name})")
     if abs(u) > system.input_bound:
         raise IntegrationError(
             f"{model.name}: stance input {u:.4f} V at t = {t:.9f} s is outside "

@@ -42,7 +42,7 @@ class TestSimulate:
         assert lines[0] == "t,y,yd,ydd,s1,a,contact"
         meta = json.loads((tmp_path / "trace_musfib.meta.json").read_text())
         assert meta["model"] == "musfib"
-        assert meta["meta"]["abs_tol"] == 1e-12
+        assert meta["meta"]["tol"] == 1e-12
         assert meta["meta"]["version"] == hopmc.__version__
 
     def test_config_override(self, tmp_path):
@@ -76,7 +76,7 @@ class TestSimulate:
         assert trace.sensor_names == ("y", "yd")
         assert len(trace) == 2001
         # the exact stance path has no tolerances or step size to report
-        assert "abs_tol" not in trace.meta
+        assert "tol" not in trace.meta
         # the stance read from its CSV has the digest of the one made in memory
         in_memory = load_trace(trace_dir / "trace_dcmot.csv").meta["reference_sha256"]
         assert trace.meta["reference_sha256"] == in_memory
@@ -131,6 +131,27 @@ class TestSimulate:
         assert rc == 2
         assert "dcmot" in capsys.readouterr().err
         assert not (out / "trace_dcmot.csv").exists()
+
+    @pytest.mark.parametrize("config, musfib_in_out, reason", [
+        ("volt_max = 10", True, "stance input"),
+        ("volt_max = 10", False, "stance input"),
+        ("kp = 1e200", True, "non-finite stance state"),
+    ])
+    def test_failed_dcmot_run_writes_nothing(self, trace_dir, tmp_path, capsys, config,
+                                             musfib_in_out, reason):
+        # neither the stance reference nor a musfib trace simulated for it
+        out = tmp_path / "out"
+        out.mkdir()
+        if musfib_in_out:
+            _copy_traces(trace_dir, out, names=("musfib",))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        kept = _snapshot(out)
+        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert _snapshot(out) == kept
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -276,14 +297,31 @@ class TestReport:
     def test_cached_trace_of_other_tolerance_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        cfg = IntegratorConfig(t_end=2, abs_tol=1e-10, rel_tol=1e-10)
+        cfg = IntegratorConfig(t_end=2, tol=1e-10)
         integrate(make_model("musfib"), cfg).save(out / "trace_musfib.csv")
         kept = _snapshot(out)
         rc = main(["report", "--duration", "2", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "trace_musfib.csv" in err and "abs_tol" in err
+        assert "trace_musfib.csv" in err and "has tol = 1e-10" in err
         assert _snapshot(out) == kept
+
+    def test_cached_trace_with_two_tolerance_keys_is_rejected(self, trace_dir, tmp_path,
+                                                              capsys):
+        # a muscle sidecar from before the one tolerance has abs_tol and
+        # rel_tol but no tol
+        _copy_traces(trace_dir, tmp_path)
+        side = tmp_path / "trace_musfib.meta.json"
+        sidecar = json.loads(side.read_text())
+        tol = sidecar["meta"].pop("tol")
+        sidecar["meta"].update(abs_tol=tol, rel_tol=tol)
+        side.write_text(json.dumps(sidecar), encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        rc = main(["report", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_musfib.csv" in err and "has tol = None" in err
+        assert _snapshot(tmp_path) == kept
 
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
@@ -333,12 +371,31 @@ class TestBenchmarkHooks:
 
 
 class TestImportBudget:
-    def test_cli_loads_no_scipy_integrate_or_interpolate(self):
-        # only scipy.linalg is needed; the two others would double the import time
-        code = ("import hopmc.cli, sys; print(' '.join(m for m in "
-                "('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+    # the runtime needs numpy alone; scipy is the tests' oracle
+    @staticmethod
+    def _python(code, *args):
         src = str(Path(hopmc.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True)
+
+    def test_cli_loads_no_scipy(self):
+        run = self._python("import hopmc.cli, sys; "
+                           "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+        assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == ""
+
+    def test_report_runs_with_scipy_blocked(self, tmp_path):
+        code = (
+            "import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.startswith('scipy'):\n"
+            "            raise ImportError('blocked: ' + name)\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "from hopmc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        run = self._python(code, "report", "--duration", "2", "--state-series",
+                           "--out", str(tmp_path))
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "measures.json").exists()

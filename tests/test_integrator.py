@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import expm
+from scipy.linalg import expm, matrix_balance
 
 from hopmc.integrator import (
     IntegrationError,
     IntegratorConfig,
     _DelayLine,
+    _balance,
     _expm,
+    _stance_generator,
     contact_segments,
     extract_stance_reference,
     integrate,
@@ -28,6 +30,13 @@ from hopmc.models import (
     StepContext,
     make_model,
 )
+
+
+def _gebal_scale(m):
+    """scipy's LAPACK gebal scale vector of ``m``, scaling only."""
+    with np.errstate(invalid="ignore"):     # scipy also casts the scales to int
+        _, (scale, _) = matrix_balance(m, permute=False, separate=True)
+    return scale
 
 
 class _DecayModel(HoppingModel):
@@ -96,7 +105,7 @@ class TestSolverAccuracy:
         errs = []
         for tol in (1e-6, 1e-9, 1e-12):
             # max_step large enough that the tolerance governs the step size
-            cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, t_end=1.0, max_step=0.5)
+            cfg = IntegratorConfig(tol=tol, t_end=1.0, max_step=0.5)
             trace = integrate(_DecayModel(), cfg)
             errs.append(abs(trace.y[-1] - math.exp(-1.0)))
         assert errs[0] > errs[1] > errs[2]
@@ -106,8 +115,7 @@ class TestSolverAccuracy:
         """The muscle path's error floor: 2 s of musfib at 1e-10 and at the
         default 1e-12 agree in y to 2e-8 m (the delay line gives 8.7e-10 m;
         the Hermite history it replaced gave 2.7e-7 m)."""
-        y = [integrate(MusFibModel(), IntegratorConfig(t_end=2.0, abs_tol=tol,
-                                                       rel_tol=tol)).y
+        y = [integrate(MusFibModel(), IntegratorConfig(t_end=2.0, tol=tol)).y
              for tol in (1e-10, 1e-12)]
         assert np.abs(y[0] - y[1]).max() <= 2e-8
 
@@ -125,7 +133,7 @@ class TestPortFidelity:
         """Same Dormand-Prince pair, controller and dense output as scipy's
         RK45: equal RHS counts and samples equal to rounding."""
         model = _VanDerPolModel()
-        cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, t_end=1.0, max_step=0.5)
+        cfg = IntegratorConfig(tol=tol, t_end=1.0, max_step=0.5)
         trace = integrate(model, cfg)
         ctx = StepContext(False)
         sol = solve_ivp(lambda t, x: np.array(model.derivative(t, x, ctx)), (0.0, 1.0),
@@ -162,6 +170,28 @@ class TestExactStance:
             expected = expm(m)
             np.testing.assert_allclose(_expm(m), expected, rtol=0.0,
                                        atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("overrides", [
+        None, {"kp": 3000.0}, {"kp": 8000.0}, {"kd": 100.0}, {"inductance": 1e-4},
+        {"inductance": 1e-300}, {"kp": 1e200}])
+    def test_balance_matches_gebal_on_motor(self, pipeline, overrides):
+        system = make_model("dcmot", overrides, pipeline.reference).stance_system()
+        generator = _stance_generator(system)
+        np.testing.assert_array_equal(_balance(generator), _gebal_scale(generator))
+
+    def test_balance_matches_gebal_on_random_matrices(self):
+        # entries over 12 decades; a port that leaves the diagonal out of
+        # the norms, as LAPACK before 3.5 did, matches on 85 of these 300
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-6.0, 6.0, (8, 8))
+            np.testing.assert_array_equal(_balance(m), _gebal_scale(m))
+
+    def test_balance_rejects_non_finite_entries(self):
+        # a nan would keep the sweep from converging
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                _balance(np.array([[1.0, bad], [2.0, 3.0]]))
 
     def test_matches_dop853_over_one_stance(self, pipeline):
         """Oracle: one full stance of the exact path against DOP853 at 1e-12,
@@ -322,7 +352,7 @@ class TestCsvRoundTrip:
         assert motor[0].meta == motor[1].meta
         assert motor[0].meta["stepper"] == "exact-stance"
         assert motor[0].meta["intervals"] > 0
-        assert "abs_tol" not in motor[0].meta and "rejected_steps" not in motor[0].meta
+        assert "tol" not in motor[0].meta and "rejected_steps" not in motor[0].meta
 
 
 class TestForceHistory:
