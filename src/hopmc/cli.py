@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="simulate one hopping model")
     sim.add_argument("--model", required=True, choices=MODEL_NAMES)
-    sim.add_argument("--duration", type=float, default=8.0, help="seconds [8.0]")
+    sim.add_argument("--duration", type=float, default=8.0, help="t_end, seconds [8.0]")
     sim.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sim.add_argument("--config", type=Path, help="key = value parameter overrides")
     sim.add_argument("--reference", type=Path,
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
 
     rep = sub.add_parser("report", help="full pipeline over all models")
     rep.add_argument("--out", type=Path, default=Path("."))
-    rep.add_argument("--duration", type=float, default=8.0)
+    rep.add_argument("--duration", type=float, default=8.0, help="t_end, seconds [8.0]")
     rep.add_argument("--bins", type=int, default=300)
     rep.add_argument("--config", type=Path)
     rep.add_argument("--state-series", action="store_true")
@@ -138,6 +138,7 @@ def _musfib_from_out(out: Path) -> tuple[Trace, bool]:
 
 
 def cmd_simulate(args) -> int:
+    cfg = IntegratorConfig(t_end=args.duration)
     overrides = load_config(args.config) if args.config else None
     reference, musfib, fresh_musfib = None, None, False
     if args.model == "dcmot" and args.reference:
@@ -146,7 +147,7 @@ def cmd_simulate(args) -> int:
         musfib, fresh_musfib = _musfib_from_out(args.out)
         reference = extract_stance_reference(musfib)
     model = make_model(args.model, overrides, reference)
-    trace = integrator.integrate(model, IntegratorConfig(t_end=args.duration))
+    trace = integrator.integrate(model, cfg)
     # only a run that succeeded writes: the musfib trace it simulated, the
     # stance it took from that trace, then its own trace
     args.out.mkdir(parents=True, exist_ok=True)

@@ -80,15 +80,17 @@ class BinningSpec:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def normalize_action(action: np.ndarray, action_kind: str) -> np.ndarray:
-    """Map actions to the unit interval: identity for muscle stimulations,
-    affine (a + 48) / 96 for motor voltages."""
-    action = np.asarray(action, dtype=float)
-    if action_kind == "muscle":
+def normalize_action(trace: Trace) -> np.ndarray:
+    """The trace's actions on the unit interval: muscle stimulations as they
+    are, motor voltages mapped affinely from [-volt_max, volt_max] with the
+    ``volt_max`` its parameters record."""
+    action = np.asarray(trace.action, dtype=float)
+    if trace.action_kind == "muscle":
         return action
-    if action_kind == "motor":
-        return (action + 48.0) / 96.0
-    raise ValueError(f"unknown action kind {action_kind!r}")
+    if trace.action_kind == "motor":
+        volt_max = trace.meta["params"]["volt_max"]
+        return (action + volt_max) / (2.0 * volt_max)
+    raise ValueError(f"unknown action kind {trace.action_kind!r}")
 
 
 def _trace_channels(trace: Trace) -> dict[str, np.ndarray]:
@@ -104,7 +106,7 @@ def _trace_channels(trace: Trace) -> dict[str, np.ndarray]:
             channels[name] = np.concatenate([channels[name], data])
         else:
             channels[name] = data
-    channels[ACTION_CHANNEL] = normalize_action(trace.action, trace.action_kind)
+    channels[ACTION_CHANNEL] = normalize_action(trace)
     return channels
 
 
@@ -190,8 +192,7 @@ def build_discrete_trace(trace: Trace, spec: BinningSpec) -> DiscreteTrace:
 
     w_star = packed(WORLD_CHANNELS, (trace.y, trace.yd, trace.ydd))
     s_star = packed(trace.sensor_names, trace.sensors.T)
-    a_star = discretize_channel(normalize_action(trace.action, trace.action_kind),
-                                spec.domain(ACTION_CHANNEL))
+    a_star = discretize_channel(normalize_action(trace), spec.domain(ACTION_CHANNEL))
 
     return DiscreteTrace(
         model=trace.model,

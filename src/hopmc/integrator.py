@@ -56,8 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .models import (HoppingModel, LinearStance, ReferenceTrajectory, StepContext,
-                     hermite_coeffs, write_csv)
+from .models import (HoppingModel, LinearStance, ReferenceTrajectory, StepContext, _check,
+                     hermite_coeffs, positive, write_csv)
 
 __all__ = [
     "IntegratorConfig",
@@ -86,17 +86,12 @@ class IntegratorConfig:
     absolute and relative tolerance, and ``max_step``) and the run length
     of every model."""
 
-    tol: float = 1e-12
-    t_end: float = 8.0
-    max_step: float = 0.01
+    tol: float = positive(1e-12)
+    t_end: float = positive(8.0)
+    max_step: float = positive(0.01)
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -521,6 +516,8 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
         step_ctx = StepContext(contact, t_td, line.before) if t_echo <= cfg.t_end else ctx
         f = rhs(t, x, ctx)
         rhs_calls += 1
+        if not all(map(math.isfinite, f)):     # else no step-size test ever holds
+            raise IntegrationError(f"non-finite derivative at t = {t:.9f} s ({model.name})")
         if prev_h is None:
             h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
             rhs_calls += 1

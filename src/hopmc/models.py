@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,21 +62,42 @@ MODEL_NAMES = ("musfib", "muslin", "dcmot")
 _ECC_SLOPE_FACTOR = 7.56
 
 
+def positive(default: float | None) -> float:
+    """A dataclass field that admits the finite numbers above zero; a None
+    default stands for a value derived at construction."""
+    return field(default=default, metadata={"sign": "positive"})
+
+
+def negative(default: float) -> float:
+    """A dataclass field that admits the finite numbers below zero."""
+    return field(default=default, metadata={"sign": "negative"})
+
+
+def _check(instance) -> None:
+    """Reject a field of the dataclass ``instance`` that lies outside its
+    admissible set: every field admits finite values only, and one declared
+    :func:`positive` or :func:`negative` that sign only.  The bounds are the
+    physical signs, never magnitudes.  None, a value still to derive, passes."""
+    for f in fields(instance):
+        value, sign = getattr(instance, f.name), f.metadata.get("sign")
+        if value is None:
+            continue
+        if not math.isfinite(value) or (sign == "positive" and value <= 0) \
+                or (sign == "negative" and value >= 0):
+            raise ValueError(f"{f.name} = {value!r}: must be finite"
+                             + (f" and {sign}" if sign else ""))
+
+
 @dataclass(frozen=True)
 class HopperCommon:
     """Point-mass hopper shared by all actuator models."""
 
-    mass: float = 80.0            # kg
-    gravity: float = 9.81         # m/s^2, magnitude; acts in -y
-    rest_length: float = 1.0      # m, leg rest length l0 (contact iff y <= l0)
+    mass: float = positive(80.0)          # kg
+    gravity: float = positive(9.81)       # m/s^2, magnitude; acts in -y
+    rest_length: float = positive(1.0)    # m, leg rest length l0 (contact iff y <= l0)
 
     def __post_init__(self) -> None:
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.gravity <= 0:
-            raise ValueError("gravity must be a positive magnitude")
-        if self.rest_length <= 0:
-            raise ValueError("rest_length must be positive")
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -90,31 +111,22 @@ class MusFibParams:
     force a fixed delay ago.
     """
 
-    f_max: float = 2500.0         # N, maximum isometric force
-    l_opt: float = 0.9            # m, optimal fiber length
-    fl_width: float = 0.45        # force-length bell width (relative to l_opt)
-    fl_steepness: float = 30.0    # force-length bell steepness
-    v_max: float = -3.5           # m/s, maximum shortening velocity (negative)
-    fv_curvature: float = 1.5     # force-velocity curvature (concentric)
-    fv_plateau: float = 1.5       # eccentric force plateau, multiples of f_max
-    act_tau: float = 0.010        # s, activation time constant
-    reflex_delay: float = 0.015   # s, force-feedback transport delay
-    reflex_gain: float = 2.4 / 2500.0   # 1/N
-    stim_base: float = 0.027      # baseline stimulation (value at touchdown)
+    f_max: float = positive(2500.0)       # N, maximum isometric force
+    l_opt: float = positive(0.9)          # m, optimal fiber length
+    fl_width: float = positive(0.45)      # force-length bell width (relative to l_opt)
+    fl_steepness: float = positive(30.0)  # force-length bell steepness
+    v_max: float = negative(-3.5)         # m/s, maximum shortening velocity
+    fv_curvature: float = positive(1.5)   # force-velocity curvature (concentric)
+    fv_plateau: float = positive(1.5)     # eccentric force plateau, multiples of f_max
+    act_tau: float = positive(0.010)      # s, activation time constant
+    reflex_delay: float = positive(0.015) # s, force-feedback transport delay
+    reflex_gain: float = 2.4 / 2500.0     # 1/N
+    stim_base: float = 0.027              # baseline stimulation (value at touchdown)
     stim_min: float = 0.001
     stim_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.f_max <= 0:
-            raise ValueError("f_max must be positive")
-        if self.act_tau <= 0:
-            raise ValueError("act_tau must be positive")
-        if self.reflex_delay <= 0:
-            raise ValueError("reflex_delay must be positive")
-        if not self.stim_min < self.stim_max:
-            raise ValueError("stimulation bounds must be a non-empty interval")
-        if self.v_max >= 0:
-            raise ValueError("v_max is a shortening velocity and must be negative")
+        _check_reflex(self)
 
 
 @dataclass(frozen=True)
@@ -122,26 +134,25 @@ class MusLinParams:
     """Linearized muscle model: no force-length dependence, linear
     force-velocity relation F = a * f_max * (1 - fv_slope * v)."""
 
-    f_max: float = 2500.0
-    fv_slope: float = 0.25        # s/m, slope of the linear force-velocity law
-    act_tau: float = 0.010
-    reflex_delay: float = 0.015
+    f_max: float = positive(2500.0)
+    fv_slope: float = positive(0.25)      # s/m, slope of the linear force-velocity law
+    act_tau: float = positive(0.010)
+    reflex_delay: float = positive(0.015)
     reflex_gain: float = 0.8 / 2500.0
     stim_base: float = 0.19
     stim_min: float = 0.001
     stim_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.f_max <= 0:
-            raise ValueError("f_max must be positive")
-        if self.fv_slope <= 0:
-            raise ValueError("fv_slope must be positive")
-        if self.act_tau <= 0:
-            raise ValueError("act_tau must be positive")
-        if self.reflex_delay <= 0:
-            raise ValueError("reflex_delay must be positive")
-        if not self.stim_min < self.stim_max:
-            raise ValueError("stimulation bounds must be a non-empty interval")
+        _check_reflex(self)
+
+
+def _check_reflex(p: MusFibParams | MusLinParams) -> None:
+    """A reflex parameter set's fields, and its non-empty stimulation interval."""
+    _check(p)
+    if not p.stim_min < p.stim_max:
+        raise ValueError(f"stim_min = {p.stim_min!r}, stim_max = {p.stim_max!r}: "
+                         f"the stimulation bounds must be a non-empty interval")
 
 
 @dataclass(frozen=True)
@@ -155,27 +166,20 @@ class DCMotParams:
     more than 1e-6 relative is rejected.
     """
 
-    torque_const: float = 0.126   # N*m/A
-    gear_ratio: float = 100.0     # ideal gear, rotational -> translational
-    resistance: float = 7.19      # Ohm
-    inductance: float = 0.0016    # H
-    volt_max: float = 48.0        # V, armature voltage bound (symmetric)
-    kp: float = 5000.0            # V/m
-    kd: float = 500.0             # V*s/m
-    nominal_torque: float = 0.212 # N*m
-    f_max_ref: float = 2500.0     # N, muscle force scale used for mass scaling
-    base_body_mass: float = 80.0  # kg, muscle hopper's body mass
-    body_mass: float | None = None
+    torque_const: float = positive(0.126)     # N*m/A
+    gear_ratio: float = positive(100.0)       # ideal gear, rotational -> translational
+    resistance: float = positive(7.19)        # Ohm
+    inductance: float = positive(0.0016)      # H
+    volt_max: float = positive(48.0)          # V, armature voltage bound (symmetric)
+    kp: float = 5000.0                        # V/m
+    kd: float = 500.0                         # V*s/m
+    nominal_torque: float = positive(0.212)   # N*m
+    f_max_ref: float = positive(2500.0)       # N, muscle force scale used for mass scaling
+    base_body_mass: float = positive(80.0)    # kg, muscle hopper's body mass
+    body_mass: float | None = positive(None)
 
     def __post_init__(self) -> None:
-        if self.inductance <= 0:
-            raise ValueError("inductance must be positive")
-        if self.resistance <= 0:
-            raise ValueError("resistance must be positive")
-        if self.gear_ratio <= 0:
-            raise ValueError("gear_ratio must be positive")
-        if self.volt_max <= 0:
-            raise ValueError("volt_max must be positive")
+        _check(self)
         derived = self.gear_ratio * self.nominal_torque / self.f_max_ref * self.base_body_mass
         if self.body_mass is None:
             object.__setattr__(self, "body_mass", derived)
@@ -318,23 +322,22 @@ class ReferenceTrajectory:
     """Stance trajectory sampled at 1 kHz, time-indexed from touchdown.
 
     Holds (tau, y, yd, ydd) arrays and evaluates C1 cubic Hermite
-    interpolants (precomputed power-basis coefficients; this sits on the
-    integration hot path).  Queries outside the recorded window are clamped
-    to the endpoints.
+    interpolants from precomputed power-basis coefficients.  Queries outside
+    the recorded window are clamped to the endpoints.
     """
 
     def __init__(self, tau: np.ndarray, y: np.ndarray, yd: np.ndarray, ydd: np.ndarray):
-        tau = np.asarray(tau, dtype=float)
-        if tau.ndim != 1 or tau.size < 2:
+        self.tau, self.y, self.yd, self.ydd = (np.asarray(c, dtype=float)
+                                               for c in (tau, y, yd, ydd))
+        if self.tau.ndim != 1 or self.tau.size < 2:
             raise ValueError("reference needs at least two samples")
-        if np.any(np.diff(tau) <= 0):
-            raise ValueError("reference sample times must be strictly increasing")
-        self.tau = tau
-        self.y = np.asarray(y, dtype=float)
-        self.yd = np.asarray(yd, dtype=float)
-        self.ydd = np.asarray(ydd, dtype=float)
         if not (self.tau.shape == self.y.shape == self.yd.shape == self.ydd.shape):
             raise ValueError("reference channel lengths differ")
+        for name in ("tau", "y", "yd", "ydd"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"reference {name} has a non-finite sample")
+        if np.any(np.diff(self.tau) <= 0):
+            raise ValueError("reference sample times must be strictly increasing")
         self._tau_list = self.tau.tolist()
         self._coeff_y = hermite_coeffs(self.tau, self.y, self.yd).tolist()
         self._coeff_yd = hermite_coeffs(self.tau, self.yd, self.ydd).tolist()
@@ -427,10 +430,7 @@ class HoppingModel:
     def params_dict(self) -> dict:
         """The model's parameters and the shared hopper's, as trace sidecars
         record them."""
-        out = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
-        out.update(mass=self.common.mass, gravity=self.common.gravity,
-                   rest_length=self.common.rest_length)
-        return out
+        return {**asdict(self.params), **asdict(self.common)}
 
     def stance_system(self) -> LinearStance | None:
         """Linear stance dynamics for exact propagation, or None when the
@@ -626,14 +626,12 @@ def make_model(name: str, overrides: dict[str, float] | None = None,
     name = name.lower()
     if name not in _PARAM_TYPES:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    overrides = dict(overrides or {})
-    param_type = _PARAM_TYPES[name]
-    param_fields = {f.name for f in fields(param_type)}
-    common_kwargs = {k: overrides.pop(k) for k in list(overrides) if k in _COMMON_FIELDS}
-    param_kwargs = {k: overrides.pop(k) for k in list(overrides) if k in param_fields}
-    if overrides:
-        raise ValueError(f"unknown parameter(s) for {name}: {sorted(overrides)}")
-    params = param_type(**param_kwargs)
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - parameter_names(name))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for {name}: {unknown}")
+    common_kwargs = {k: v for k, v in overrides.items() if k in _COMMON_FIELDS}
+    params = _PARAM_TYPES[name](**{k: v for k, v in overrides.items() if k not in _COMMON_FIELDS})
     if name == "musfib":
         return MusFibModel(HopperCommon(**common_kwargs), params)
     if name == "muslin":

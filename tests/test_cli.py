@@ -8,12 +8,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hopmc
 from hopmc.cli import main
 from hopmc.integrator import IntegratorConfig, extract_stance_reference, integrate, load_trace
-from hopmc.models import make_model
+from hopmc.models import make_model, write_csv
 
 
 def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
@@ -162,6 +163,50 @@ class TestSimulate:
         assert (a / "trace_musfib.csv").read_bytes() == (b / "trace_musfib.csv").read_bytes()
         assert (a / "trace_musfib.meta.json").read_bytes() == \
             (b / "trace_musfib.meta.json").read_bytes()
+
+
+class TestInadmissibleSettings:
+    # each is refused before any run: exit 1, the key named, --out untouched
+    @pytest.mark.parametrize("argv, config, named", [
+        (["simulate", "--model", "musfib", "--duration", "1"], "f_max = nan", "f_max = nan"),
+        (["simulate", "--model", "muslin", "--duration", "1"], "mass = nan", "mass = nan"),
+        (["simulate", "--model", "musfib", "--duration", "1"], "l_opt = 0", "l_opt = 0.0"),
+        (["simulate", "--model", "musfib", "--duration", "1"], "reflex_gain = nan",
+         "reflex_gain = nan"),
+        (["simulate", "--model", "musfib", "--duration", "1"], "reflex_gain = inf",
+         "reflex_gain = inf"),
+        (["report", "--duration", "2"], "act_tau = inf", "act_tau = inf"),
+        (["report", "--duration", "nan"], None, "t_end = nan"),
+        (["report", "--duration", "inf"], None, "t_end = inf"),
+    ], ids=["f_max-nan", "mass-nan", "l_opt-0", "reflex_gain-nan", "reflex_gain-inf",
+            "act_tau-inf", "duration-nan", "duration-inf"])
+    def test_refused_naming_the_key(self, tmp_path, capsys, argv, config, named):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        kept = _snapshot(out)
+        if config is not None:
+            cfg = tmp_path / "p.cfg"
+            cfg.write_text(config + "\n", encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"hopmc: error: {named}: must be finite")
+        assert _snapshot(out) == kept
+
+    @pytest.mark.parametrize("channel, column", [("tau", 0), ("y", 1)])
+    def test_non_finite_reference_is_usage_error(self, trace_dir, tmp_path, capsys,
+                                                 channel, column):
+        samples = np.loadtxt(trace_dir / "reference_stance.csv", delimiter=",", skiprows=1)
+        samples[10, column] = np.nan
+        bad = write_csv(tmp_path / "ref.csv", "tau,y,yd,ydd", samples.T)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
+                   "--reference", str(bad)])
+        assert rc == 1
+        assert f"reference {channel} has a non-finite sample" in capsys.readouterr().err
+        assert _snapshot(out) == {}
 
 
 class TestMeasure:

@@ -1,0 +1,98 @@
+"""The "same behaviour" contract: the seed-0 8 s pipeline holds committed values.
+
+The session ``pipeline`` (8 s runs, 300 bins, domains pooled over the three
+traces) must reproduce, for each model, the nine aggregate measures to
+1e-12 bits, the SHA-256 of its (w, s, a) symbol columns, and its contact
+event count and last event time.  A change that moves the traces on purpose
+updates these values in the same change and lists old -> new; no other
+change touches them.
+
+The values pin this host's numpy and BLAS: the dcmot path uses ``@`` and
+``solve``, so another BLAS may move the last bits.  Each failure names the
+model and the field, so that such a move can be diagnosed, not loosened.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from conftest import MODELS
+
+BITS_TOL = 1e-12
+
+MEASURES = {
+    'musfib': {
+        'mc_w': 7.1768157968928703,
+        'mc_mi': 7.3366436688556016,
+        'h_wnext': 10.355367689707588,
+        'h_wnext_given_w': 0.57678476891921415,
+        'h_a': 2.7333762070931495,
+        'h_a_given_s': 0.2914369551603771,
+        'i_wnext_a_given_w': 0.048773525838296992,
+        'h_a_given_wnext': 0.082835557359349943,
+        'residual': -0.24266342932208124,
+    },
+    'muslin': {
+        'mc_w': 5.7120234428101977,
+        'mc_mi': 5.838755811723253,
+        'h_wnext': 10.538782769741871,
+        'h_wnext_given_w': 0.64451687483583175,
+        'h_a': 4.3875542850015945,
+        'h_a_given_s': 0.33204420181880795,
+        'i_wnext_a_given_w': 0.063827128865355728,
+        'h_a_given_wnext': 0.14148470404039648,
+        'residual': -0.26821707295345176,
+    },
+    'dcmot': {
+        'mc_w': 5.5496272882302264,
+        'mc_mi': 5.5583485987220564,
+        'h_wnext': 10.120011246872675,
+        'h_wnext_given_w': 0.56356352142153654,
+        'h_a': 4.0536171910066994,
+        'h_a_given_s': 0.055518064277618025,
+        'i_wnext_a_given_w': 0.01519457659165125,
+        'h_a_given_wnext': 0.031602177194136903,
+        'residual': -0.040323487685966906,
+    },
+}
+SYMBOLS_SHA256 = {
+    'musfib': '3fff0d1d0fb784bc11dde302e1e024d5f3ef133938696d700f1d6062e0a4abf8',
+    'muslin': '5eaf71315eb7b880ffc1f458d97fb624d9331027c9173c3a85f1957759742912',
+    'dcmot': '103b1b57363d4cddd010ff87284be5dedd8085bc7c8553e38b6130d91b81d2b5',
+}
+EVENTS = {
+    'musfib': (32, 7.9461259780134368),
+    'muslin': (33, 7.9009192553440251),
+    'dcmot': (32, 7.896760759086713),
+}
+
+
+def _symbols_sha256(d) -> str:
+    digest = hashlib.sha256()
+    for column in (d.w, d.s, d.a):
+        digest.update(np.ascontiguousarray(column, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_measures_hold(pipeline, model):
+    result = pipeline.results[model]
+    moved = [f"{model}.{name}: {getattr(result, name)!r} != committed {want!r}"
+             for name, want in MEASURES[model].items()
+             if not abs(getattr(result, name) - want) <= BITS_TOL]
+    assert not moved, "; ".join(moved)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_symbols_hold(pipeline, model):
+    got = _symbols_sha256(pipeline.discrete[model])
+    assert got == SYMBOLS_SHA256[model], f"{model}.symbols (w, s, a): sha256 {got}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_events_hold(pipeline, model):
+    events = pipeline.traces[model].events
+    count, last = EVENTS[model]
+    assert len(events) == count, f"{model}.events: {len(events)} != committed {count}"
+    assert events[-1].t == last, f"{model}.events[-1].t: {events[-1].t!r} != {last!r}"

@@ -18,7 +18,7 @@ from hopmc.integrator import Trace
 
 
 def _toy_trace(model="musfib", action_kind="muscle", sensor_names=("f_leg",),
-               y=None, yd=None, ydd=None, sensors=None, action=None):
+               y=None, yd=None, ydd=None, sensors=None, action=None, volt_max=48.0):
     n = 3 if y is None else len(y)
     y = np.array([1.05, 1.0, 0.95] if y is None else y, dtype=float)
     yd = np.array([-0.5, -1.0, -0.5][:n] if yd is None else yd, dtype=float)
@@ -29,7 +29,8 @@ def _toy_trace(model="musfib", action_kind="muscle", sensor_names=("f_leg",),
     return Trace(model=model, action_kind=action_kind, sensor_names=sensor_names,
                  t=np.arange(n) / 1000.0, y=y, yd=yd, ydd=ydd,
                  sensors=sensors, action=action,
-                 contact=np.array([False, True, True][:n]))
+                 contact=np.array([False, True, True][:n]),
+                 meta={"params": {"volt_max": volt_max}})
 
 
 class TestComputeDomains:
@@ -149,16 +150,28 @@ class TestCombineSymbols:
 
 class TestNormalizeAction:
     def test_motor_endpoints(self):
-        out = normalize_action(np.array([-48.0, 0.0, 48.0]), "motor")
+        out = normalize_action(_toy_trace(action_kind="motor", action=[-48.0, 0.0, 48.0]))
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-15)
 
+    def test_motor_scales_by_recorded_volt_max(self):
+        out = normalize_action(_toy_trace(action_kind="motor", action=[-60.0, 55.0, 60.0],
+                                          volt_max=60.0))
+        assert out[0] == 0.0 and out[2] == 1.0
+        assert 0.0 < out[1] < 1.0
+
+    def test_motor_default_is_the_fixed_48_volt_map(self):
+        # bit for bit the (a + 48) / 96 that traces were binned with before
+        action = np.random.default_rng(0).uniform(-48.0, 48.0, size=3)
+        out = normalize_action(_toy_trace(action_kind="motor", action=action))
+        np.testing.assert_array_equal(out, (action + 48.0) / 96.0)
+
     def test_muscle_identity(self):
-        out = normalize_action(np.array([0.027]), "muscle")
+        out = normalize_action(_toy_trace(action=[0.027, 0.1, 0.9]))
         assert out[0] == 0.027
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            normalize_action(np.array([0.0]), "hydraulic")
+            normalize_action(_toy_trace(action_kind="hydraulic"))
 
 
 class TestBuildDiscreteTrace:

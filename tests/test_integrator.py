@@ -1,6 +1,10 @@
 """Integration driver: solver accuracy, events, sampling, serialization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm, matrix_balance
 
+import hopmc
 from hopmc.integrator import (
     IntegrationError,
     IntegratorConfig,
@@ -75,6 +80,13 @@ class _BlowUpModel(_DecayModel):
         if t > 0.1:
             return np.array([math.nan, 0.0, 0.0])
         return np.array([0.0, 0.0, 0.0])
+
+
+class _NaNModel(_DecayModel):
+    name = "nan"
+
+    def derivative(self, t, x, ctx):
+        return (math.nan, 0.0, 0.0)
 
 
 class _VanDerPolModel(_DecayModel):
@@ -151,6 +163,22 @@ class TestAborts:
     def test_non_finite_derivative(self):
         with pytest.raises(IntegrationError):
             integrate(_BlowUpModel(), IntegratorConfig(t_end=1.0))
+
+    def test_non_finite_first_stage_ends_the_run(self):
+        # a NaN first stage makes a NaN step size, for which every step-size
+        # test is false; run it in a child process that the timeout ends
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from test_integrator import _NaNModel\n"
+                "from hopmc.integrator import IntegrationError, IntegratorConfig, integrate\n"
+                "try:\n"
+                "    integrate(_NaNModel(), IntegratorConfig(t_end=1.0))\n"
+                "except IntegrationError as exc:\n"
+                "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(hopmc.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "non-finite derivative at t = 0.000000000 s (nan)"
 
     def test_motor_voltage_beyond_bound(self, pipeline):
         # the default run peaks near 19 V; a 10 V bound would clamp the PD

@@ -1,11 +1,13 @@
 """Force laws, controllers, and model construction."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hopmc.integrator import IntegratorConfig
 from hopmc.models import (
     DCMotModel,
     DCMotParams,
@@ -234,7 +236,64 @@ class TestDCMotMassScaling:
         assert model.common.mass == pytest.approx(0.6784, rel=1e-9)
 
 
+# the admissible set of every parameter and run setting: a physical sign, or
+# any finite value; non-finite values are never admissible
+VALIDATED = (HopperCommon, MusFibParams, MusLinParams, DCMotParams, IntegratorConfig)
+POSITIVE = {"mass", "gravity", "rest_length", "f_max", "l_opt", "fl_width", "fl_steepness",
+            "fv_curvature", "fv_plateau", "act_tau", "reflex_delay", "fv_slope",
+            "torque_const", "gear_ratio", "resistance", "inductance", "volt_max",
+            "nominal_torque", "f_max_ref", "base_body_mass", "body_mass", "tol", "t_end",
+            "max_step"}
+NEGATIVE = {"v_max"}
+FINITE = {"kp", "kd", "reflex_gain", "stim_base", "stim_min", "stim_max"}
+FIELDS = [(cls, f.name) for cls in VALIDATED for f in fields(cls)]
+SIGNED = [(cls, name, sign, bad) for cls, name in FIELDS
+          for sign, names, wrong in (("positive", POSITIVE, (0.0, -1.0)),
+                                     ("negative", NEGATIVE, (0.0, 1.0)))
+          if name in names for bad in wrong]
+
+
+def _field_id(case) -> str:
+    return f"{case[0].__name__}.{case[1]}"
+
+
 class TestParamValidation:
+    def test_every_field_declares_its_set(self):
+        for cls in VALIDATED:
+            for f in fields(cls):
+                want = ("positive" if f.name in POSITIVE else "negative" if f.name in NEGATIVE
+                        else None if f.name in FINITE else "a declared set")
+                assert f.metadata.get("sign") == want, f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("case", FIELDS, ids=_field_id)
+    def test_non_finite_rejected_naming_field(self, case, value):
+        cls, name = case
+        with pytest.raises(ValueError, match=rf"^{name} = {value!r}: must be finite"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("case", SIGNED, ids=lambda c: f"{_field_id(c)}={c[3]!r}")
+    def test_wrong_sign_rejected_naming_field(self, case):
+        cls, name, sign, bad = case
+        with pytest.raises(ValueError, match=rf"^{name} = {bad!r}: must be finite and {sign}$"):
+            cls(**{name: bad})
+
+    def test_message_names_field_and_value(self):
+        with pytest.raises(ValueError) as exc:
+            MusFibParams(f_max=math.nan)
+        assert str(exc.value) == "f_max = nan: must be finite and positive"
+
+    def test_magnitudes_are_not_bounded(self):
+        DCMotParams(kp=1e200, kd=-1e200, inductance=1e-300)
+        MusFibParams(reflex_gain=-1e300, stim_base=-5.0, stim_min=-1e300, stim_max=1e300)
+        IntegratorConfig(tol=1e-300, t_end=1e-300, max_step=1e300)
+
+    def test_cross_field_rules_after_signs(self):
+        with pytest.raises(ValueError, match="^stim_min = 0.5, stim_max = 0.25"):
+            MusLinParams(stim_min=0.5, stim_max=0.25)
+        with pytest.raises(ValueError, match="^body_mass = -0.6784: must be finite and "):
+            DCMotParams(body_mass=-0.6784)
+
     def test_common_invariants(self):
         with pytest.raises(ValueError):
             HopperCommon(mass=-1.0)
@@ -322,6 +381,15 @@ class TestReferenceTrajectory:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             ReferenceTrajectory(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("channel", ["tau", "y", "yd", "ydd"])
+    def test_rejects_non_finite_samples(self, channel):
+        # a NaN time passes the "increasing" test, whose comparisons are false
+        samples = {"tau": np.array([0.0, 0.05, 0.1]), "y": np.ones(3), "yd": np.zeros(3),
+                   "ydd": np.zeros(3)}
+        samples[channel][1] = math.nan
+        with pytest.raises(ValueError, match=f"^reference {channel} has a non-finite sample"):
+            ReferenceTrajectory(**samples)
 
 
 class TestWriteCsv:
