@@ -6,7 +6,7 @@ Models whose stance is linear in the state (the DC motor, ``dcmot``) are
 propagated in closed form, with no step-size control:
 
 * flight is a parabola with the auxiliary state held, and touchdown is the
-  parabola's root;
+  parabola's root (:func:`_flight`);
 * in stance, x' = A x + f(s) with a constant A and an input f that is a
   cubic in time between two reference knots (constant past the reference
   end).  Each knot interval is solved exactly with Van Loan's block matrix
@@ -33,14 +33,21 @@ choice), segment by segment:
   t_ev + k * delay (k = 1, 2, 3); those are hard segment boundaries, the
   stages of a step that ends on one read the delayed force's left limit,
   and the next segment starts with a fresh first stage;
+* once a flight has lasted one delay, or from t = 0 in a run that starts in
+  flight, the delay line reads only flight and the delayed force is zero.
+  For a model with a ``flight_flow`` (both muscles) that flight is solved in
+  closed form to touchdown by the motor's :func:`_flight`: y is a parabola,
+  the activation relaxes exponentially to the constant stimulation, and
+  touchdown is the parabola's root.  The delay line gets one zero-force
+  span for it (the method of steps; Bellen & Zennaro 2003);
 * output samples on the uniform 1 kHz grid are evaluated from the dense
   output, never by restarting the integration.
 
-On both paths the recorded acceleration channel re-evaluates the
-right-hand side at the sample point; it is not a finite difference of the
-velocity channel.  ``Trace.meta`` holds the trace's :func:`provenance`
-record, everything the samples depend on, and the path's deterministic work
-counts.
+On both paths each sample's recorded channels come from one
+``model.observe`` call, whose acceleration is the right-hand side's at the
+sample point; it is not a finite difference of the velocity channel.
+``Trace.meta`` holds the trace's :func:`provenance` record, everything the
+samples depend on, and the path's deterministic work counts.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +233,9 @@ class _DelayLine:
             i -= 1
         while t >= steps[i][1]:
             i += 1
-        return self._force(i, t)
+        self._i = i
+        _, _, dense, ctx = steps[i]
+        return 0.0 if dense is None else self._leg_force(t, dense(t), ctx)
 
     def before(self, t: float) -> float:
         """Left limit of :meth:`at` at ``t``."""
@@ -236,11 +244,8 @@ class _DelayLine:
             i -= 1
         while t > steps[i][1]:
             i += 1
-        return self._force(i, t)
-
-    def _force(self, i: int, t: float) -> float:
         self._i = i
-        _, _, dense, ctx = self.steps[i]
+        _, _, dense, ctx = steps[i]
         return 0.0 if dense is None else self._leg_force(t, dense(t), ctx)
 
     def add_breakpoint(self, t: float) -> None:
@@ -276,13 +281,17 @@ class _Recorder:
         self.model = model
         n = int(math.floor(cfg.t_end * _SAMPLE_RATE + 1e-9)) + 1
         self.n = n
-        self.t = np.arange(n) / _SAMPLE_RATE
-        self.y = np.empty(n)
-        self.yd = np.empty(n)
-        self.ydd = np.empty(n)
-        self.sensors = np.empty((n, len(model.sensor_names)))
-        self.action = np.empty(n)
-        self.contact = np.empty(n, dtype=bool)
+        try:
+            self.t = np.arange(n) / _SAMPLE_RATE
+            self.y = np.empty(n)
+            self.yd = np.empty(n)
+            self.ydd = np.empty(n)
+            self.sensors = np.empty((n, len(model.sensor_names)))
+            self.action = np.empty(n)
+            self.contact = np.empty(n, dtype=bool)
+        except MemoryError as exc:
+            raise ValueError(f"t_end = {cfg.t_end!r} s needs {n} samples at "
+                             f"{_SAMPLE_RATE:g} Hz, more than can be allocated") from exc
         self.next_idx = 0
         self._times = self.t.tolist()
 
@@ -294,9 +303,7 @@ class _Recorder:
         i = self.next_idx
         self.y[i] = x[0]
         self.yd[i] = x[1]
-        self.ydd[i] = self.model.derivative(t, x, ctx)[1]
-        self.sensors[i] = self.model.sensors(t, x, ctx)
-        self.action[i] = self.model.control(t, x, ctx)
+        self.ydd[i], self.sensors[i], self.action[i] = self.model.observe(t, x, ctx)
         self.contact[i] = ctx.contact
         self.next_idx += 1
 
@@ -315,7 +322,8 @@ def provenance(model: HoppingModel, cfg: IntegratorConfig) -> dict:
     equal."""
     record = {"t_end": cfg.t_end, "params": model.params_dict(), "version": __version__}
     if model.stance_system() is None:
-        record.update(stepper="rk45", tol=cfg.tol, max_step=cfg.max_step)
+        stepper = "dp45" if model.flight_flow is None else "dp45+flight"
+        record.update(stepper=stepper, tol=cfg.tol, max_step=cfg.max_step)
     else:
         record["stepper"] = "exact-stance"
     if model.reference is not None:
@@ -328,7 +336,8 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
 
     A model whose ``stance_system()`` returns a :class:`LinearStance` is
     propagated in closed form; any other model is stepped with
-    Dormand-Prince 4(5).
+    Dormand-Prince 4(5), and flies in closed form where its delayed force is
+    zero if it has a ``flight_flow``.
 
     Raises :class:`IntegrationError` on step-size underflow, non-finite
     state, or a stance input outside the linear stance's bound, with the
@@ -381,13 +390,15 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339
                                 -22 / 525, 1 / 40)
 # interpolant weights of stages 1, 3, 4, 5, 6, 7 for the powers 2..4 of the
 # step fraction; the power 1 weighs the first stage alone
-_P2 = (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
-       127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
-_P3 = (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
-       -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
-_P4 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
-       -10690763975 / 1880347072, 701980252875 / 199316789632,
-       -1453857185 / 822651844, 69997945 / 29380423)
+_P21, _P23, _P24, _P25, _P26, _P27 = (
+    -8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+    127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
+_P31, _P33, _P34, _P35, _P36, _P37 = (
+    8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+    -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
+_P41, _P43, _P44, _P45, _P46, _P47 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5              # -1 / (order of the error estimate + 1)
 _SQRT3 = 3 ** 0.5                     # RMS norm over the three state components
@@ -441,16 +452,24 @@ def _dp45_step(rhs, ctx: StepContext, t: float, h: float, y, k1,
 def _dense_output(t_old: float, h: float, y, stages):
     """The step's quartic interpolant, as a function of time."""
     y0, y1, y2 = y
-    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = [
-        (k[0], sum(map(mul, _P2, k)), sum(map(mul, _P3, k)), sum(map(mul, _P4, k)))
-        for k in zip(*stages)]
+    (a0, a1, a2), (c0, c1, c2), (d0, d1, d2), (e0, e1, e2), (g0, g1, g2), \
+        (z0, z1, z2) = stages
+    p0 = _P21 * a0 + _P23 * c0 + _P24 * d0 + _P25 * e0 + _P26 * g0 + _P27 * z0
+    p1 = _P21 * a1 + _P23 * c1 + _P24 * d1 + _P25 * e1 + _P26 * g1 + _P27 * z1
+    p2 = _P21 * a2 + _P23 * c2 + _P24 * d2 + _P25 * e2 + _P26 * g2 + _P27 * z2
+    q0 = _P31 * a0 + _P33 * c0 + _P34 * d0 + _P35 * e0 + _P36 * g0 + _P37 * z0
+    q1 = _P31 * a1 + _P33 * c1 + _P34 * d1 + _P35 * e1 + _P36 * g1 + _P37 * z1
+    q2 = _P31 * a2 + _P33 * c2 + _P34 * d2 + _P35 * e2 + _P36 * g2 + _P37 * z2
+    r0 = _P41 * a0 + _P43 * c0 + _P44 * d0 + _P45 * e0 + _P46 * g0 + _P47 * z0
+    r1 = _P41 * a1 + _P43 * c1 + _P44 * d1 + _P45 * e1 + _P46 * g1 + _P47 * z1
+    r2 = _P41 * a2 + _P43 * c2 + _P44 * d2 + _P45 * e2 + _P46 * g2 + _P47 * z2
 
     def at(t: float) -> tuple[float, float, float]:
         s = (t - t_old) / h
         hs = h * s
-        return (y0 + hs * (a1 + s * (a2 + s * (a3 + s * a4))),
-                y1 + hs * (b1 + s * (b2 + s * (b3 + s * b4))),
-                y2 + hs * (c1 + s * (c2 + s * (c3 + s * c4))))
+        return (y0 + hs * (a0 + s * (p0 + s * (q0 + s * r0))),
+                y1 + hs * (a1 + s * (p1 + s * (q1 + s * r1))),
+                y2 + hs * (a2 + s * (p2 + s * (q2 + s * r2))))
     return at
 
 
@@ -476,16 +495,22 @@ def _initial_step(rhs, ctx: StepContext, t: float, y, f, t_bound: float,
 def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
                rec: _Recorder) -> tuple[list[TraceEvent], dict]:
     """Step the full right-hand side with Dormand-Prince 4(5), segment by
-    segment.
+    segment, and fly in closed form where the delayed force is zero.
 
     The state is three floats throughout.  The step-size controller is
     RK45's: RMS error norm, safety factor 0.9, step ratio within [0.2, 10]
     and no growth right after a rejection.  A segment starts with a fresh
-    first stage and the size of the last step taken (the first one with
-    :func:`_initial_step`); within it each step reuses the previous step's
-    last stage.  The interpolant is built for every contact step, which the
-    delay line keeps, and for the flight steps that hold a grid sample or an
-    event.
+    first stage and the size of the last step taken (the first one, and the
+    first after a closed-form flight, with :func:`_initial_step`); within it
+    each step reuses the previous step's last stage.  The interpolant is
+    built for every contact step, which the delay line keeps, and for the
+    flight steps that hold a grid sample or an event.
+
+    A model with a ``flight_flow`` flies in closed form (:func:`_flight`)
+    once the delay line reads only the current flight: from one delay after
+    liftoff, which is the liftoff's first echo, or from t = 0 in a run that
+    starts in flight.  The line then gets one zero-force span for the whole
+    flight.
     """
     l0 = model.common.rest_length
     delay = model.history_delay
@@ -495,6 +520,7 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
         max_step = min(max_step, 0.9 * delay)
     atol, rtol = cfg.tol, max(cfg.tol, 100 * math.ulp(1.0))
     rhs = model.derivative
+    closed_flight = model.flight_flow is not None
 
     line = _DelayLine(model, delay)
     events: list[TraceEvent] = []
@@ -505,89 +531,104 @@ def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
     x = tuple(float(v) for v in model.initial_state())
     contact = x[0] <= l0
     t_td = 0.0 if contact else math.nan
+    t_calm = 0.0        # from here on a flight reads no delayed force
     ctx = StepContext(contact, t_td, line.at)
     rec.record_state(t, x, ctx)
 
     prev_h: float | None = None
     while t < cfg.t_end - _TIME_EPS:
-        t_echo = line.next_break_after(t)
-        t_stop = min(cfg.t_end, t_echo)
-        # the force jump an echo delivers belongs to the segment after it
-        step_ctx = StepContext(contact, t_td, line.before) if t_echo <= cfg.t_end else ctx
-        f = rhs(t, x, ctx)
-        rhs_calls += 1
-        if not all(map(math.isfinite, f)):     # else no step-size test ever holds
-            raise IntegrationError(f"non-finite derivative at t = {t:.9f} s ({model.name})")
-        if prev_h is None:
-            h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
-            rhs_calls += 1
-        else:
-            h_abs = min(max(prev_h, 1e-14), t_stop - t)
-        segments += 1
-
-        g_prev = x[0] - l0
-        while t < t_stop:
-            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs = min(max(h_abs, min_step), max_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise IntegrationError(
-                        f"step size underflow at t = {t:.9f} s ({model.name})")
-                t_new = min(t + h_abs, t_stop)
-                h = h_abs = t_new - t
-                x_new, f_new, stages, err = _dp45_step(rhs, step_ctx, t, h, x, f, atol, rtol)
-                rhs_calls += 6
-                if err < 1.0:
-                    factor = _MAX_FACTOR if err == 0.0 else \
-                        min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                rejected = True
-                rejected_total += 1
-            if not all(map(math.isfinite, x_new)):
-                raise IntegrationError(
-                    f"non-finite state at t = {t_new:.9f} s ({model.name})")
-            accepted += 1
-            h_min, h_max = min(h_min, h), max(h_max, h)
-            prev_h = h
-            g_new = x_new[0] - l0
-
-            crossed = (not contact and g_prev > 0.0 and g_new <= 0.0) or \
-                      (contact and g_prev < 0.0 and g_new >= 0.0)
-            if crossed:
-                dense = _dense_output(t, h, x, stages)
-                t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
-                rec.record_span(dense, t, t_ev, ctx)
-                line.push(t, t_ev, dense if contact else None, ctx)
-                x_ev = dense(t_ev)
-                ydd_before = float(rhs(t_ev, x_ev, ctx)[1])
-                # switch phase
-                kind = "liftoff" if contact else "touchdown"
-                contact = not contact
-                if kind == "liftoff":
-                    x_ev = model.on_liftoff(x_ev)
-                    t_td = math.nan
-                else:
-                    t_td = t_ev
-                ctx = StepContext(contact, t_td, line.at)
-                ydd_after = float(rhs(t_ev, x_ev, ctx)[1])
-                # the force jump reaches the reflex delayed, as do the kinks
-                # it imprints on the activation and force; stop on each echo
-                for k in (1, 2, 3):
-                    line.add_breakpoint(t_ev + k * delay)
-                events.append(TraceEvent(t_ev, kind, float(x_ev[0]), float(x_ev[1]),
-                                         ydd_before, ydd_after))
-                t, x = t_ev, x_ev
+        if closed_flight and not contact and t >= t_calm:
+            end = _flight(model, rec, t, x, cfg.t_end)
+            if end is None:
                 break
+            t_ev, x_ev = end
+            line.push(t, t_ev, None, ctx)
+            prev_h = None       # the stance starts with _initial_step
+        else:
+            t_echo = line.next_break_after(t)
+            t_stop = min(cfg.t_end, t_echo)
+            # the force jump an echo delivers belongs to the segment after it
+            step_ctx = StepContext(contact, t_td, line.before) if t_echo <= cfg.t_end else ctx
+            f = rhs(t, x, ctx)
+            rhs_calls += 1
+            if not all(map(math.isfinite, f)):     # else no step-size test ever holds
+                raise IntegrationError(f"non-finite derivative at t = {t:.9f} s ({model.name})")
+            if prev_h is None:
+                h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
+                rhs_calls += 1
+            else:
+                h_abs = min(max(prev_h, 1e-14), t_stop - t)
+            segments += 1
 
-            dense = _dense_output(t, h, x, stages) if contact else None
-            if rec.due(t_new):
-                rec.record_span(dense or _dense_output(t, h, x, stages), t, t_new, ctx)
-            line.push(t, t_new, dense, ctx)
-            t, x, f = t_new, x_new, f_new
-            g_prev = g_new
+            t_ev = None
+            g_prev = x[0] - l0
+            while t < t_stop:
+                min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+                h_abs = min(max(h_abs, min_step), max_step)
+                rejected = False
+                while True:
+                    if h_abs < min_step:
+                        raise IntegrationError(
+                            f"step size underflow at t = {t:.9f} s ({model.name})")
+                    t_new = min(t + h_abs, t_stop)
+                    h = h_abs = t_new - t
+                    x_new, f_new, stages, err = _dp45_step(rhs, step_ctx, t, h, x, f, atol,
+                                                           rtol)
+                    rhs_calls += 6
+                    if err < 1.0:
+                        factor = _MAX_FACTOR if err == 0.0 else \
+                            min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                        h_abs *= min(1.0, factor) if rejected else factor
+                        break
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                    rejected = True
+                    rejected_total += 1
+                if not all(map(math.isfinite, x_new)):
+                    raise IntegrationError(
+                        f"non-finite state at t = {t_new:.9f} s ({model.name})")
+                accepted += 1
+                h_min, h_max = min(h_min, h), max(h_max, h)
+                prev_h = h
+                g_new = x_new[0] - l0
+
+                crossed = (not contact and g_prev > 0.0 and g_new <= 0.0) or \
+                          (contact and g_prev < 0.0 and g_new >= 0.0)
+                if crossed:
+                    dense = _dense_output(t, h, x, stages)
+                    t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
+                    rec.record_span(dense, t, t_ev, ctx)
+                    line.push(t, t_ev, dense if contact else None, ctx)
+                    x_ev = dense(t_ev)
+                    break
+
+                dense = _dense_output(t, h, x, stages) if contact else None
+                if rec.due(t_new):
+                    rec.record_span(dense or _dense_output(t, h, x, stages), t, t_new, ctx)
+                line.push(t, t_new, dense, ctx)
+                t, x, f = t_new, x_new, f_new
+                g_prev = g_new
+            if t_ev is None:        # the segment ended on an echo or the run's end
+                continue
+
+        # switch phase at the event
+        ydd_before = float(model.observe(t_ev, x_ev, ctx)[0])
+        kind = "liftoff" if contact else "touchdown"
+        contact = not contact
+        if contact:
+            t_td = t_ev
+        else:
+            x_ev = model.on_liftoff(x_ev)
+            t_td = math.nan
+            t_calm = t_ev + delay
+        ctx = StepContext(contact, t_td, line.at)
+        ydd_after = float(model.observe(t_ev, x_ev, ctx)[0])
+        # the force jump reaches the reflex delayed, as do the kinks it
+        # imprints on the activation and force; stop on each echo
+        for k in (1, 2, 3):
+            line.add_breakpoint(t_ev + k * delay)
+        events.append(TraceEvent(t_ev, kind, float(x_ev[0]), float(x_ev[1]),
+                                 ydd_before, ydd_after))
+        t, x = t_ev, x_ev
 
     return events, {"rhs_calls": rhs_calls, "accepted_steps": accepted,
                     "rejected_steps": rejected_total, "segments": segments,
@@ -843,22 +884,43 @@ def _fall_time(height: float, speed: float, gravity: float) -> float:
     return 2.0 * height / (root - speed)     # same root, without cancellation
 
 
-def _ballistic(x: np.ndarray, tau: float, gravity: float) -> np.ndarray:
-    return np.array([x[0] + tau * (x[1] - 0.5 * gravity * tau),
-                     x[1] - gravity * tau, x[2]])
+def _ballistic(x, tau: float, gravity: float, flow) -> tuple:
+    """The state ``tau`` into a flight from ``x``: a parabola in y, and the
+    auxiliary state moved by ``flow``."""
+    return (x[0] + tau * (x[1] - 0.5 * gravity * tau), x[1] - gravity * tau, flow(x[2], tau))
+
+
+# a flight context: its delayed force is zero, and the delay line is not read
+_FLIGHT = StepContext(False)
+
+
+def _flight(model: HoppingModel, rec: _Recorder, t: float, x,
+            t_end: float) -> tuple[float, tuple] | None:
+    """Closed-form flight from ``(t, x)`` to touchdown, for a model with a
+    ``flight_flow`` whose delayed force stays zero until then.
+
+    Records the samples on the way; returns the touchdown time and state, or
+    None when the run ends first.
+    """
+    l0, gravity, flow = model.common.rest_length, model.common.gravity, model.flight_flow
+    t_td = t + _fall_time(x[0] - l0, x[1], gravity)
+    rec.record_span(lambda tt: _ballistic(x, tt - t, gravity, flow), t, min(t_td, t_end),
+                    _FLIGHT)
+    if t_td > t_end:
+        return None
+    return t_td, _ballistic(x, t_td - t, gravity, flow)
 
 
 def _propagate_exact(model: HoppingModel, cfg: IntegratorConfig, rec: _Recorder,
                      system: LinearStance) -> tuple[list[TraceEvent], dict]:
     """Closed-form flight parabolas and exact linear stances, event to event."""
-    l0, gravity = model.common.rest_length, model.common.gravity
     flow = _StanceFlow(system)
     events: list[TraceEvent] = []
     stats = {"intervals": 0, "newton_iterations": 0}
 
     t = 0.0
     x = np.asarray(model.initial_state(), dtype=float)
-    ctx = StepContext(True, 0.0) if x[0] <= l0 else StepContext(False)
+    ctx = StepContext(True, 0.0) if x[0] <= model.common.rest_length else _FLIGHT
     rec.record_state(t, x, ctx)
     while t < cfg.t_end - _TIME_EPS:
         if ctx.contact:
@@ -866,17 +928,15 @@ def _propagate_exact(model: HoppingModel, cfg: IntegratorConfig, rec: _Recorder,
             if end is None:
                 break
             t_ev, x_ev = end
-            kind, x_after, ctx_after = "liftoff", model.on_liftoff(x_ev), StepContext(False)
+            kind, x_after, ctx_after = "liftoff", model.on_liftoff(x_ev), _FLIGHT
         else:
-            t_ev = t + _fall_time(x[0] - l0, x[1], gravity)
-            rec.record_span(lambda tt, x0=x, t0=t: _ballistic(x0, tt - t0, gravity),
-                            t, min(t_ev, cfg.t_end), ctx)
-            if t_ev > cfg.t_end:
+            end = _flight(model, rec, t, x, cfg.t_end)
+            if end is None:
                 break
-            x_ev = x_after = _ballistic(x, t_ev - t, gravity)
-            kind, ctx_after = "touchdown", StepContext(True, t_ev)
-        ydd_before = float(model.derivative(t_ev, x_ev, ctx)[1])
-        ydd_after = float(model.derivative(t_ev, x_after, ctx_after)[1])
+            t_ev, x_ev = end
+            kind, x_after, ctx_after = "touchdown", x_ev, StepContext(True, t_ev)
+        ydd_before = float(model.observe(t_ev, x_ev, ctx)[0])
+        ydd_after = float(model.observe(t_ev, x_after, ctx_after)[0])
         events.append(TraceEvent(t_ev, kind, float(x_after[0]), float(x_after[1]),
                                  ydd_before, ydd_after))
         t, x, ctx = t_ev, x_after, ctx_after

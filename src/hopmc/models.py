@@ -15,7 +15,8 @@ Only the leg-force law and its controller differ between models.  Each model
 exposes the right-hand side of its ODE plus accessors for the leg force, the
 controller output (the recorded action channel) and the sensor channels, all
 as pure functions of ``(t, state, ctx)`` where ``ctx`` carries the phase
-information maintained by the integrator.  A state is any sequence of three
+information maintained by the integrator; ``observe`` returns the three
+recorded channels of one sample at once.  A state is any sequence of three
 floats; ``derivative`` returns a plain 3-tuple, so the stepper never builds
 an array per stage.
 """
@@ -220,8 +221,8 @@ class LinearStance:
     actuator input is ``u = feedback @ x + r(s)``; ``matrix`` already holds
     the ``input_gain * feedback`` term.  The model is exact only while
     ``|u| <= input_bound``, where the real controller does not saturate.  A
-    model that has a linear stance hops ballistically in flight, with its
-    auxiliary state held.
+    model that has a linear stance hops ballistically in flight, its
+    auxiliary state moved by the model's ``flight_flow``.
     """
 
     matrix: np.ndarray
@@ -394,6 +395,10 @@ class HoppingModel:
     action_kind: str = ""                  # "muscle" or "motor", sets normalization
     sensor_names: tuple[str, ...] = ()
     reference: ReferenceTrajectory | None = None
+    # flight_flow(aux, tau): the auxiliary state tau after the value aux, in a
+    # flight whose delayed force is zero.  A model that defines it flies in
+    # closed form there; without it, flight is stepped like stance.
+    flight_flow: Callable[[float, float], float] | None = None
 
     def __init__(self, common: HopperCommon, params=None):
         self.common = common
@@ -427,6 +432,16 @@ class HoppingModel:
     def sensors(self, t: float, x: Sequence[float], ctx: StepContext) -> tuple[float, ...]:
         raise NotImplementedError
 
+    def observe(self, t: float, x: Sequence[float],
+                ctx: StepContext) -> tuple[float, tuple[float, ...], float]:
+        """The recorded channels of one sample: (ydd, sensors, action), equal
+        to ``derivative(...)[1]``, ``sensors(...)`` and ``control(...)``."""
+        return self.derivative(t, x, ctx)[1], self.sensors(t, x, ctx), self.control(t, x, ctx)
+
+    def _acceleration(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
+        """The equation of motion: m * ydd = -m * g + F_leg."""
+        return -self.common.gravity + self.leg_force(t, x, ctx) / self.common.mass
+
     def params_dict(self) -> dict:
         """The model's parameters and the shared hopper's, as trace sidecars
         record them."""
@@ -443,6 +458,11 @@ class _MuscleModel(HoppingModel):
 
     action_kind = "muscle"
     sensor_names = ("f_leg",)
+
+    def __init__(self, common: HopperCommon, params: MusFibParams | MusLinParams):
+        super().__init__(common, params)
+        # read at every stage of the stepper
+        self._gravity, self._mass = common.gravity, common.mass
 
     @property
     def history_delay(self) -> float:
@@ -473,13 +493,28 @@ class _MuscleModel(HoppingModel):
 
     def derivative(self, t: float, x: Sequence[float],
                    ctx: StepContext) -> tuple[float, float, float]:
+        # control() and _acceleration() written out: this runs at every stage
         y, yd, act = x
-        u = self.control(t, x, ctx)
+        p = self.params
+        u = force_feedback_stimulation(ctx.delayed_force(t - p.reflex_delay), p)
         if ctx.contact:
-            ydd = -self.common.gravity + self._active_force(x) / self.common.mass
+            ydd = -self._gravity + self._active_force(x) / self._mass
         else:
-            ydd = -self.common.gravity
-        return (yd, ydd, activation_derivative(act, u, self.params.act_tau))
+            ydd = -self._gravity
+        return (yd, ydd, activation_derivative(act, u, p.act_tau))
+
+    def observe(self, t: float, x: Sequence[float],
+                ctx: StepContext) -> tuple[float, tuple[float, ...], float]:
+        # one delayed-force lookup serves the sensor and the action
+        f_delayed = ctx.delayed_force(t - self.params.reflex_delay)
+        return (self._acceleration(t, x, ctx), (f_delayed,),
+                force_feedback_stimulation(f_delayed, self.params))
+
+    def flight_flow(self, act: float, tau: float) -> float:
+        """Activation ``tau`` after ``act`` with the delayed force zero: the
+        constant stimulation's first-order lag, solved."""
+        u = force_feedback_stimulation(0.0, self.params)
+        return u + (act - u) * math.exp(-tau / self.params.act_tau)
 
 
 class MusFibModel(_MuscleModel):
@@ -560,13 +595,19 @@ class DCMotModel(HoppingModel):
                    ctx: StepContext) -> tuple[float, float, float]:
         y, yd, current = x
         if ctx.contact:
-            u = self.control(t, x, ctx)
-            didt = motor_current_derivative(current, u, yd, self.params)
-            ydd = -self.common.gravity + self.leg_force(t, x, ctx) / self.common.mass
+            didt = motor_current_derivative(current, self.control(t, x, ctx), yd, self.params)
         else:
             didt = 0.0
-            ydd = -self.common.gravity
-        return (yd, ydd, didt)
+        return (yd, self._acceleration(t, x, ctx), didt)
+
+    def observe(self, t: float, x: Sequence[float],
+                ctx: StepContext) -> tuple[float, tuple[float, ...], float]:
+        # the acceleration reads the current, not the voltage: one reference lookup
+        return self._acceleration(t, x, ctx), self.sensors(t, x, ctx), self.control(t, x, ctx)
+
+    def flight_flow(self, current: float, tau: float) -> float:
+        """The winding current, held through flight."""
+        return current
 
     def stance_system(self) -> LinearStance:
         """The stance as x' = A x + drift + b r(s), with the PD voltage

@@ -63,6 +63,17 @@ class TestSimulate:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unallocatable_sample_grid_is_usage_error(self, tmp_path, capsys):
+        # 1e18 samples are more than the address space holds, so the
+        # allocation fails at once
+        out = tmp_path / "out"
+        rc = main(["simulate", "--model", "musfib", "--duration", "1e15", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hopmc: error: t_end = 1000000000000000.0 s needs "
+                              "1000000000000000001 samples")
+        assert not out.exists()
+
     def test_unknown_model_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--model", "pogo", "--out", str(tmp_path)])
@@ -366,6 +377,21 @@ class TestReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert "trace_musfib.csv" in err and "has tol = None" in err
+        assert _snapshot(tmp_path) == kept
+
+    def test_cached_muscle_trace_of_other_stepper_is_rejected(self, trace_dir, tmp_path,
+                                                               capsys):
+        # a muscle sidecar from before the closed-form late flight
+        _copy_traces(trace_dir, tmp_path)
+        side = tmp_path / "trace_muslin.meta.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["meta"]["stepper"] = "rk45"
+        side.write_text(json.dumps(sidecar), encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        rc = main(["report", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_muslin.csv" in err and "has stepper = 'rk45'" in err
         assert _snapshot(tmp_path) == kept
 
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):

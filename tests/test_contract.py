@@ -62,9 +62,9 @@ SYMBOLS_SHA256 = {
     'dcmot': '103b1b57363d4cddd010ff87284be5dedd8085bc7c8553e38b6130d91b81d2b5',
 }
 EVENTS = {
-    'musfib': (32, 7.9461259780134368),
-    'muslin': (33, 7.9009192553440251),
-    'dcmot': (32, 7.896760759086713),
+    'musfib': (32, 7.9461259788934147),
+    'muslin': (33, 7.9009192527948393),
+    'dcmot': (32, 7.8967607589037581),
 }
 
 

@@ -16,7 +16,10 @@ import hopmc
 from hopmc.integrator import (
     IntegrationError,
     IntegratorConfig,
+    _ballistic,
     _DelayLine,
+    _flight,
+    _Recorder,
     _balance,
     _expm,
     _stance_generator,
@@ -33,6 +36,7 @@ from hopmc.models import (
     MusFibModel,
     MusLinModel,
     StepContext,
+    force_feedback_stimulation,
     make_model,
 )
 
@@ -123,11 +127,13 @@ class TestSolverAccuracy:
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] > 30.0
 
-    def test_musfib_converges_across_tolerances(self):
-        """The muscle path's error floor: 2 s of musfib at 1e-10 and at the
-        default 1e-12 agree in y to 2e-8 m (the delay line gives 8.7e-10 m;
-        the Hermite history it replaced gave 2.7e-7 m)."""
-        y = [integrate(MusFibModel(), IntegratorConfig(t_end=2.0, tol=tol)).y
+    @pytest.mark.parametrize("name", ["musfib", "muslin"])
+    def test_muscle_converges_across_tolerances(self, name):
+        """The muscle path's error floor: 2 s at 1e-10 and at the default
+        1e-12 agree in y to 2e-8 m (the delay line with closed-form late
+        flight gives 1.4e-9 m for musfib and 2.0e-10 m for muslin; the
+        Hermite history the delay line replaced gave 2.7e-7 m for musfib)."""
+        y = [integrate(make_model(name), IntegratorConfig(t_end=2.0, tol=tol)).y
              for tol in (1e-10, 1e-12)]
         assert np.abs(y[0] - y[1]).max() <= 2e-8
 
@@ -264,6 +270,75 @@ class TestBallisticFlight:
         assert ev.kind == "touchdown"
         assert ev.yd == pytest.approx(-math.sqrt(2 * 9.81 * 0.07), abs=1e-6)
 
+    @pytest.mark.parametrize("name", ["musfib", "muslin"])
+    def test_late_flight_matches_dop853(self, name):
+        """Oracle: a late flight (delayed force zero) in closed form against
+        DOP853 at 1e-13 of y'' = -g, a' = (u - a) / act_tau, from the same
+        state, to touchdown."""
+        model = make_model(name)
+        g, tau = model.common.gravity, model.params.act_tau
+        u = force_feedback_stimulation(0.0, model.params)
+        x0 = (1.02, 1.1, 0.45)                    # rising, activation above u
+        rec = _Recorder(model, IntegratorConfig(t_end=1.0))
+        t_td, x_td = _flight(model, rec, 0.0, x0, 1.0)
+
+        def touchdown(t, x):
+            return x[0] - 1.0
+        touchdown.terminal, touchdown.direction = True, -1.0
+        sol = solve_ivp(lambda t, x: (x[1], -g, (u - x[2]) / tau), (0.0, 1.0), x0,
+                        method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True,
+                        events=touchdown)
+        assert abs(t_td - sol.t_events[0][0]) <= 1e-12
+        np.testing.assert_allclose(x_td, sol.y_events[0][0], rtol=0, atol=1e-12)
+        n = rec.next_idx
+        assert n == math.floor(t_td * 1000) + 1 and n > 200
+        t = rec.t[:n]
+        expected = sol.sol(t)
+        ours = np.array([_ballistic(x0, tk, g, model.flight_flow) for tk in t]).T
+        np.testing.assert_allclose(rec.y[:n], expected[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec.yd[:n], expected[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-12)
+        # the recorded channels of a flight that reads no delayed force
+        assert np.all(rec.ydd[:n] == -g)
+        assert np.all(rec.sensors[:n] == 0.0) and np.all(rec.action[:n] == u)
+
+    @pytest.mark.parametrize("name", ["musfib", "muslin"])
+    def test_late_flight_costs_no_derivative_call(self, name):
+        # from one delay after liftoff to touchdown, and in the first flight,
+        # the delayed force is zero and flight needs no right-hand side
+        model = make_model(name)
+        calls = []
+        rhs = model.derivative
+
+        def counted(t, x, ctx):
+            calls.append((t, ctx.contact))
+            return rhs(t, x, ctx)
+        model.derivative = counted
+        trace = integrate(model, IntegratorConfig(t_end=2.0))
+        delay = model.params.reflex_delay
+        calm = [(0.0, trace.events[0].t)]
+        calm += [(lo.t + delay, td.t) for lo, td in zip(trace.events[1::2], trace.events[2::2])]
+        assert trace.events[1].kind == "liftoff" and len(calm) >= 4
+        late = [t for t, contact in calls
+                if not contact and any(a < t <= b for a, b in calm)]
+        early = [t for t, contact in calls if not contact]
+        assert late == [] and len(early) > 100
+
+    @pytest.mark.parametrize("name", ["musfib", "muslin", "dcmot"])
+    def test_observe_is_its_three_channels(self, pipeline, name):
+        model = make_model(name, None, pipeline.reference)
+        cases = [                                 # stance, early flight, late flight
+            (0.35, (0.95, -0.4, 0.3), StepContext(True, 0.3, lambda q: 900.0 + 1e3 * q)),
+            (0.52, (1.03, 0.8, 0.2), StepContext(False, math.nan, lambda q: 1234.5)),
+            (0.61, (1.05, 0.3, 0.1), StepContext(False)),
+        ]
+        for t, x, ctx in cases:
+            got = model.observe(t, x, ctx)
+            want = (model.derivative(t, x, ctx)[1], model.sensors(t, x, ctx),
+                    model.control(t, x, ctx))
+            assert [float(v).hex() for v in (got[0], *got[1], got[2])] == \
+                [float(v).hex() for v in (want[0], *want[1], want[2])]
+
 
 class TestTraceInvariants:
     @pytest.mark.parametrize("name", ["musfib", "muslin", "dcmot"])
@@ -367,7 +442,7 @@ class TestCsvRoundTrip:
         assert (tmp_path / "a.meta.json").read_bytes() == (tmp_path / "b.meta.json").read_bytes()
         # solver counters are deterministic, so they may sit in the sidecar
         assert t1.meta == t2.meta
-        assert t1.meta["stepper"] == "rk45"
+        assert t1.meta["stepper"] == "dp45+flight"
         assert t1.meta["rhs_calls"] > t1.meta["accepted_steps"] >= t1.meta["segments"] >= 1
         # six stage evaluations per step tried, accepted or rejected
         assert t1.meta["rhs_calls"] >= 6 * (t1.meta["accepted_steps"]
