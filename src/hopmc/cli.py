@@ -198,25 +198,32 @@ def _print_table(results: list[MeasureResult], bins: int) -> None:
         print(f"{label:<22}{cells}")
 
 
-def _write_state_series(d: DiscreteTrace, out: Path, smooth_block: int) -> Path:
-    w_series = mc_w_state(d)
-    mi_series = mc_mi_state(d)
-    w_smooth = moving_average(w_series, smooth_block)
-    mi_smooth = moving_average(mi_series, smooth_block)
-    return write_csv(out / f"mc_state_{d.model}.csv",
-                     "t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact",
-                     (d.t, w_series, mi_series, w_smooth, mi_smooth, d.y, d.contact))
+def _state_series(discrete: list[DiscreteTrace], smooth_block: int) -> dict[str, tuple]:
+    """The columns of each model's ``mc_state_<model>.csv``.  Both verbs that
+    write them compute them first, so an invalid ``smooth_block`` is refused
+    before any file is written, whether or not the series are asked for."""
+    series = {}
+    for d in discrete:
+        w_series, mi_series = mc_w_state(d), mc_mi_state(d)
+        series[d.model] = (d.t, w_series, mi_series, moving_average(w_series, smooth_block),
+                           moving_average(mi_series, smooth_block), d.y, d.contact)
+    return series
+
+
+def _write_state_series(series: dict[str, tuple], out: Path) -> None:
+    for model, columns in series.items():
+        path = write_csv(out / f"mc_state_{model}.csv",
+                         "t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact", columns)
+        print(f"wrote {path}")
 
 
 def cmd_measure(args) -> int:
-    if args.smooth_block < 1 or args.smooth_block % 2 == 0:
-        raise ValueError(f"--smooth-block must be odd, got {args.smooth_block}")
     _, discrete = _discretize(_load_traces(args.traces), args.bins)
+    series = _state_series(discrete, args.smooth_block)
     _print_table([compute_measures(d) for d in discrete], args.bins)
     if args.state_series:
         args.out.mkdir(parents=True, exist_ok=True)
-        for d in discrete:
-            print(f"wrote {_write_state_series(d, args.out, args.smooth_block)}")
+        _write_state_series(series, args.out)
     return EXIT_OK
 
 
@@ -277,11 +284,10 @@ def _refuse_stale(path: Path, record: dict, meta: dict) -> None:
 
 
 def cmd_report(args) -> int:
-    if args.smooth_block < 1 or args.smooth_block % 2 == 0:
-        raise ValueError(f"--smooth-block must be odd, got {args.smooth_block}")
     overrides = _scope_overrides(load_config(args.config) if args.config else {})
     cfg = IntegratorConfig(t_end=args.duration)
-    # every trace is checked or simulated in memory before any file is written
+    # every trace, the measures and the state series are made in memory
+    # before any file is written
     traces, fresh, reference = {}, [], None
     for name in MODEL_NAMES:
         if name == "dcmot":     # MODEL_NAMES lists musfib first, whose stance it tracks
@@ -294,6 +300,9 @@ def cmd_report(args) -> int:
         else:
             traces[name] = integrator.integrate(model, cfg)
             fresh.append(name)
+    spec, discrete = _discretize(list(traces.values()), args.bins)
+    results = [compute_measures(d) for d in discrete]
+    series = _state_series(discrete, args.smooth_block)
 
     args.out.mkdir(parents=True, exist_ok=True)
     for name, trace in traces.items():
@@ -306,14 +315,10 @@ def cmd_report(args) -> int:
               f"{trace.meta['max_height_post_transient']:.4f} m)")
     if "dcmot" in fresh:
         _write_reference(args.out, reference)
-
-    spec, discrete = _discretize(list(traces.values()), args.bins)
-    results = [compute_measures(d) for d in discrete]
     _print_table(results, args.bins)
     spec.save(args.out / "binning_spec.txt")
     if args.state_series:
-        for d in discrete:
-            print(f"wrote {_write_state_series(d, args.out, args.smooth_block)}")
+        _write_state_series(series, args.out)
     summary = {
         "bins": args.bins,
         "series_window": "full run including the initial transient",

@@ -1,53 +1,55 @@
 """Integration of the hopping models onto a uniform sample grid.
 
-A model picks its path through ``stance_system()``.
+One loop, :func:`integrate`, runs every model from contact event to contact
+event.  Each phase goes to one of three propagators, chosen from what the
+model exposes and never from its type:
 
-Models whose stance is linear in the state (the DC motor, ``dcmot``) are
-propagated in closed form, with no step-size control:
-
-* flight is a parabola with the auxiliary state held, and touchdown is the
-  parabola's root (:func:`_flight`);
-* in stance, x' = A x + f(s) with a constant A and an input f that is a
-  cubic in time between two reference knots (constant past the reference
-  end).  Each knot interval is solved exactly with Van Loan's block matrix
-  exponential; the propagators for the recurring interval lengths and
-  sample offsets are computed once.  Liftoff is found by Newton's method on
-  the exact y(s) = l0;
-* the solution is exact only while the PD voltage stays inside its bound,
-  which is checked at every interval end and every sample.  A breach, or a
-  non-finite state, raises :class:`IntegrationError`; there is no fallback
-  stepper.
-
-All other models (the muscles) are stepped on plain floats with the 4(5)
-Dormand-Prince pair and its quartic dense output, the algorithm of scipy's
-RK45 (same tableau, error norm, step-size controller and first-step
-choice), segment by segment:
-
-* contact transitions (y crossing the leg rest length) are localized by
-  bisection on the dense output and become hard segment boundaries, so the
-  discontinuous leg force is never stepped across;
-* the reflex reads the leg force one transport delay back off the delay
-  line: the dense output and contact flag of each accepted step of the last
-  delay (the method of steps), with the step that crosses a contact cut at
-  its event.  A contact-force jump reaches the reflex at the delay echoes
-  t_ev + k * delay (k = 1, 2, 3); those are hard segment boundaries, the
-  stages of a step that ends on one read the delayed force's left limit,
-  and the next segment starts with a fresh first stage;
-* once a flight has lasted one delay, or from t = 0 in a run that starts in
-  flight, the delay line reads only flight and the delayed force is zero.
-  For a model with a ``flight_flow`` (both muscles) that flight is solved in
-  closed form to touchdown by the motor's :func:`_flight`: y is a parabola,
-  the activation relaxes exponentially to the constant stimulation, and
-  touchdown is the parabola's root.  The delay line gets one zero-force
+* the exact linear stance (:func:`_stance`), for a model whose
+  ``stance_system()`` gives a :class:`LinearStance` (the DC motor,
+  ``dcmot``).  There x' = A x + f(s) with a constant A and an input f that
+  is a cubic in time between two reference knots (constant past the
+  reference end).  Each knot interval is solved exactly with Van Loan's
+  block matrix exponential; the propagators for the recurring interval
+  lengths and sample offsets are computed once.  Liftoff is found by
+  Newton's method on the exact y(s) = l0.  The solution is exact only while
+  the PD voltage stays inside its bound, which is checked at every interval
+  end and every sample; a breach, or a non-finite state, raises
+  :class:`IntegrationError`, and there is no fallback stepper;
+* the closed-form flight (:func:`_flight`), for a model with a
+  ``flight_flow`` once the flight reads no delayed force: from one
+  ``history_delay`` after liftoff (at once for the motor, whose delay is
+  zero), or from t = 0 in a run that starts in flight.  y is a parabola, the
+  auxiliary state moves by ``flight_flow`` (the motor's current is held, a
+  muscle's activation relaxes exponentially to the constant stimulation),
+  and touchdown is the parabola's root.  The delay line gets one zero-force
   span for it (the method of steps; Bellen & Zennaro 2003);
-* output samples on the uniform 1 kHz grid are evaluated from the dense
-  output, never by restarting the integration.
+* Dormand-Prince 4(5) segments (:class:`_DP45`) for every other phase (the
+  muscles' stance and early flight): the 4(5) pair and its quartic dense
+  output on plain floats, the algorithm of scipy's RK45 (same tableau,
+  error norm, step-size controller and first-step choice).  Contact
+  transitions (y crossing the leg rest length) are localized by bisection
+  on the dense output and end the segment, so the discontinuous leg force
+  is never stepped across.  The reflex reads the leg force one transport
+  delay back off the delay line: the dense output and contact flag of each
+  accepted step of the last delay, with the step that crosses a contact cut
+  at its event.  A contact-force jump reaches the reflex at the delay
+  echoes t_ev + k * delay (k = 1, 2, 3); a segment ends on each, the stages
+  of a step that ends on one read the delayed force's left limit, and the
+  next segment starts with a fresh first stage.
 
-On both paths each sample's recorded channels come from one
-``model.observe`` call, whose acceleration is the right-hand side's at the
-sample point; it is not a finite difference of the velocity channel.
-``Trace.meta`` holds the trace's :func:`provenance` record, everything the
-samples depend on, and the path's deterministic work counts.
+One phase switch serves every model: at each event it takes the
+acceleration on both sides with ``observe``, applies ``on_liftoff``, starts
+the new phase's context (touchdown time, and the time from which a flight
+reads no delayed force), queues the three echoes for a model with a
+``history_delay`` and records the :class:`TraceEvent`.
+
+Output samples on the uniform 1 kHz grid come from each propagator's
+solution or dense output, never from restarting the integration.  Each
+sample's recorded channels come from one ``model.observe`` call, whose
+acceleration is the right-hand side's at the sample point; it is not a
+finite difference of the velocity channel.  ``Trace.meta`` holds the
+trace's :func:`provenance` record, everything the samples depend on, and
+the path's deterministic work counts.
 """
 
 from __future__ import annotations
@@ -334,10 +336,9 @@ def provenance(model: HoppingModel, cfg: IntegratorConfig) -> dict:
 def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace:
     """Simulate a hopping model and return its uniformly sampled trace.
 
-    A model whose ``stance_system()`` returns a :class:`LinearStance` is
-    propagated in closed form; any other model is stepped with
-    Dormand-Prince 4(5), and flies in closed form where its delayed force is
-    zero if it has a ``flight_flow``.
+    The one phase loop: each phase goes to :func:`_stance`, :func:`_flight`
+    or a :class:`_DP45` segment, as the module docstring sets out, and one
+    phase switch handles the contact event that ends it.
 
     Raises :class:`IntegrationError` on step-size underflow, non-finite
     state, or a stance input outside the linear stance's bound, with the
@@ -345,11 +346,58 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
     """
     cfg = cfg or IntegratorConfig()
     rec = _Recorder(model, cfg)
+    l0, delay = model.common.rest_length, model.history_delay
     system = model.stance_system()
-    if system is None:
-        events, stats = _step_rk45(model, cfg, rec)
-    else:
-        events, stats = _propagate_exact(model, cfg, rec, system)
+    flow = None if system is None else _StanceFlow(system)
+    line = _DelayLine(model, delay)
+    dp45 = _DP45(model, cfg, line)
+    stance_counts = {"intervals": 0, "newton_iterations": 0}
+    events: list[TraceEvent] = []
+
+    t = 0.0
+    x = tuple(float(v) for v in model.initial_state())
+    contact = x[0] <= l0
+    t_td = 0.0 if contact else math.nan
+    t_calm = 0.0        # from here on a flight reads no delayed force
+    ctx = StepContext(contact, t_td, line.at)
+    rec.record_state(t, x, ctx)
+    while t < cfg.t_end - _TIME_EPS:
+        if contact and flow is not None:
+            end = _stance(flow, system, model, rec, ctx, x, cfg.t_end, stance_counts)
+            if end is None:
+                break
+        elif not contact and model.flight_flow is not None and t >= t_calm:
+            end = _flight(model, rec, t, x, cfg.t_end)
+            if end is None:
+                break
+            line.push(t, end[0], None, ctx)
+            dp45.prev_h = None      # the phase after it starts with _initial_step
+        else:
+            t, x, end = dp45.segment(rec, t, x, ctx, cfg.t_end)
+            if end is None:         # the segment ended on an echo or the run's end
+                continue
+
+        # switch phase at the event
+        t_ev, x_ev = end
+        ydd_before = float(model.observe(t_ev, x_ev, ctx)[0])
+        kind = "liftoff" if contact else "touchdown"
+        contact = not contact
+        if contact:
+            t_td = t_ev
+        else:
+            x_ev = model.on_liftoff(x_ev)
+            t_td = math.nan
+            t_calm = t_ev + delay
+        ctx = StepContext(contact, t_td, line.at)
+        ydd_after = float(model.observe(t_ev, x_ev, ctx)[0])
+        if delay > 0.0:
+            # the force jump reaches the reflex delayed, as do the kinks it
+            # imprints on the activation and force; stop on each echo
+            for k in (1, 2, 3):
+                line.add_breakpoint(t_ev + k * delay)
+        events.append(TraceEvent(t_ev, kind, float(x_ev[0]), float(x_ev[1]),
+                                 ydd_before, ydd_after))
+        t, x = t_ev, x_ev
 
     if rec.next_idx != rec.n:
         raise IntegrationError(
@@ -368,7 +416,7 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
             "sample_rate": _SAMPLE_RATE,
             "transient": transient,
             "max_height_post_transient": float(rec.y[rec.t >= transient].max()),
-            **stats,
+            **(dp45.counts if system is None else stance_counts),
         },
     )
     return trace
@@ -492,151 +540,121 @@ def _initial_step(rhs, ctx: StepContext, t: float, y, f, t_bound: float,
     return min(100 * h0, h1, interval, max_step)
 
 
-def _step_rk45(model: HoppingModel, cfg: IntegratorConfig,
-               rec: _Recorder) -> tuple[list[TraceEvent], dict]:
-    """Step the full right-hand side with Dormand-Prince 4(5), segment by
-    segment, and fly in closed form where the delayed force is zero.
+class _DP45:
+    """Dormand-Prince 4(5) segments of the full right-hand side, for the
+    phases no closed form covers.
 
     The state is three floats throughout.  The step-size controller is
     RK45's: RMS error norm, safety factor 0.9, step ratio within [0.2, 10]
     and no growth right after a rejection.  A segment starts with a fresh
-    first stage and the size of the last step taken (the first one, and the
-    first after a closed-form flight, with :func:`_initial_step`); within it
-    each step reuses the previous step's last stage.  The interpolant is
-    built for every contact step, which the delay line keeps, and for the
-    flight steps that hold a grid sample or an event.
-
-    A model with a ``flight_flow`` flies in closed form (:func:`_flight`)
-    once the delay line reads only the current flight: from one delay after
-    liftoff, which is the liftoff's first echo, or from t = 0 in a run that
-    starts in flight.  The line then gets one zero-force span for the whole
-    flight.
+    first stage and the size of the last step taken (``prev_h``; when that
+    is None, as at the start and after a closed-form phase, with
+    :func:`_initial_step`); within it each step reuses the previous step's
+    last stage.  The interpolant is built for every contact step, which the
+    delay line keeps, and for the flight steps that hold a grid sample or an
+    event.  ``counts`` holds the work counts a trace's meta reports.
     """
-    l0 = model.common.rest_length
-    delay = model.history_delay
-    max_step = cfg.max_step
-    if delay > 0.0:
-        # step stages must only read the delay line over completed steps
-        max_step = min(max_step, 0.9 * delay)
-    atol, rtol = cfg.tol, max(cfg.tol, 100 * math.ulp(1.0))
-    rhs = model.derivative
-    closed_flight = model.flight_flow is not None
 
-    line = _DelayLine(model, delay)
-    events: list[TraceEvent] = []
-    rhs_calls = accepted = rejected_total = segments = 0
-    h_min, h_max = math.inf, 0.0
+    def __init__(self, model: HoppingModel, cfg: IntegratorConfig, line: _DelayLine):
+        self.model, self.line = model, line
+        self.rhs, self.l0 = model.derivative, model.common.rest_length
+        self.max_step = cfg.max_step
+        if model.history_delay > 0.0:
+            # step stages must only read the delay line over completed steps
+            self.max_step = min(self.max_step, 0.9 * model.history_delay)
+        self.atol, self.rtol = cfg.tol, max(cfg.tol, 100 * math.ulp(1.0))
+        self.prev_h: float | None = None
+        self.counts = {"rhs_calls": 0, "accepted_steps": 0, "rejected_steps": 0,
+                       "segments": 0, "min_step_taken": math.inf, "max_step_taken": 0.0}
 
-    t = 0.0
-    x = tuple(float(v) for v in model.initial_state())
-    contact = x[0] <= l0
-    t_td = 0.0 if contact else math.nan
-    t_calm = 0.0        # from here on a flight reads no delayed force
-    ctx = StepContext(contact, t_td, line.at)
-    rec.record_state(t, x, ctx)
+    def segment(self, rec: _Recorder, t: float, x, ctx: StepContext,
+                t_end: float) -> tuple[float, tuple, tuple[float, tuple] | None]:
+        """Step from ``(t, x)`` in the phase ``ctx`` to the next delay echo,
+        the run's end or a contact event, whichever comes first, recording
+        the samples and pushing each step onto the delay line.
 
-    prev_h: float | None = None
-    while t < cfg.t_end - _TIME_EPS:
-        if closed_flight and not contact and t >= t_calm:
-            end = _flight(model, rec, t, x, cfg.t_end)
-            if end is None:
-                break
-            t_ev, x_ev = end
-            line.push(t, t_ev, None, ctx)
-            prev_h = None       # the stance starts with _initial_step
-        else:
-            t_echo = line.next_break_after(t)
-            t_stop = min(cfg.t_end, t_echo)
-            # the force jump an echo delivers belongs to the segment after it
-            step_ctx = StepContext(contact, t_td, line.before) if t_echo <= cfg.t_end else ctx
-            f = rhs(t, x, ctx)
+        Returns the time and state reached and, if it is a contact event,
+        that event's time and state (else None).
+        """
+        model, line, rhs, l0 = self.model, self.line, self.rhs, self.l0
+        max_step, atol, rtol = self.max_step, self.atol, self.rtol
+        contact = ctx.contact
+        t_echo = line.next_break_after(t)
+        t_stop = min(t_end, t_echo)
+        # the force jump an echo delivers belongs to the segment after it
+        step_ctx = StepContext(contact, ctx.t_touchdown, line.before) if t_echo <= t_end \
+            else ctx
+        f = rhs(t, x, ctx)
+        rhs_calls = 1
+        if not all(map(math.isfinite, f)):     # else no step-size test ever holds
+            raise IntegrationError(f"non-finite derivative at t = {t:.9f} s ({model.name})")
+        if self.prev_h is None:
+            h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
             rhs_calls += 1
-            if not all(map(math.isfinite, f)):     # else no step-size test ever holds
-                raise IntegrationError(f"non-finite derivative at t = {t:.9f} s ({model.name})")
-            if prev_h is None:
-                h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
-                rhs_calls += 1
-            else:
-                h_abs = min(max(prev_h, 1e-14), t_stop - t)
-            segments += 1
-
-            t_ev = None
-            g_prev = x[0] - l0
-            while t < t_stop:
-                min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-                h_abs = min(max(h_abs, min_step), max_step)
-                rejected = False
-                while True:
-                    if h_abs < min_step:
-                        raise IntegrationError(
-                            f"step size underflow at t = {t:.9f} s ({model.name})")
-                    t_new = min(t + h_abs, t_stop)
-                    h = h_abs = t_new - t
-                    x_new, f_new, stages, err = _dp45_step(rhs, step_ctx, t, h, x, f, atol,
-                                                           rtol)
-                    rhs_calls += 6
-                    if err < 1.0:
-                        factor = _MAX_FACTOR if err == 0.0 else \
-                            min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                        h_abs *= min(1.0, factor) if rejected else factor
-                        break
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                    rejected = True
-                    rejected_total += 1
-                if not all(map(math.isfinite, x_new)):
-                    raise IntegrationError(
-                        f"non-finite state at t = {t_new:.9f} s ({model.name})")
-                accepted += 1
-                h_min, h_max = min(h_min, h), max(h_max, h)
-                prev_h = h
-                g_new = x_new[0] - l0
-
-                crossed = (not contact and g_prev > 0.0 and g_new <= 0.0) or \
-                          (contact and g_prev < 0.0 and g_new >= 0.0)
-                if crossed:
-                    dense = _dense_output(t, h, x, stages)
-                    t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
-                    rec.record_span(dense, t, t_ev, ctx)
-                    line.push(t, t_ev, dense if contact else None, ctx)
-                    x_ev = dense(t_ev)
-                    break
-
-                dense = _dense_output(t, h, x, stages) if contact else None
-                if rec.due(t_new):
-                    rec.record_span(dense or _dense_output(t, h, x, stages), t, t_new, ctx)
-                line.push(t, t_new, dense, ctx)
-                t, x, f = t_new, x_new, f_new
-                g_prev = g_new
-            if t_ev is None:        # the segment ended on an echo or the run's end
-                continue
-
-        # switch phase at the event
-        ydd_before = float(model.observe(t_ev, x_ev, ctx)[0])
-        kind = "liftoff" if contact else "touchdown"
-        contact = not contact
-        if contact:
-            t_td = t_ev
         else:
-            x_ev = model.on_liftoff(x_ev)
-            t_td = math.nan
-            t_calm = t_ev + delay
-        ctx = StepContext(contact, t_td, line.at)
-        ydd_after = float(model.observe(t_ev, x_ev, ctx)[0])
-        # the force jump reaches the reflex delayed, as do the kinks it
-        # imprints on the activation and force; stop on each echo
-        for k in (1, 2, 3):
-            line.add_breakpoint(t_ev + k * delay)
-        events.append(TraceEvent(t_ev, kind, float(x_ev[0]), float(x_ev[1]),
-                                 ydd_before, ydd_after))
-        t, x = t_ev, x_ev
+            h_abs = min(max(self.prev_h, 1e-14), t_stop - t)
+        accepted = rejected_total = 0
+        h_min, h_max = math.inf, 0.0
 
-    return events, {"rhs_calls": rhs_calls, "accepted_steps": accepted,
-                    "rejected_steps": rejected_total, "segments": segments,
-                    "min_step_taken": h_min, "max_step_taken": h_max}
+        event = None
+        g_prev = x[0] - l0
+        while t < t_stop:
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs = min(max(h_abs, min_step), max_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(
+                        f"step size underflow at t = {t:.9f} s ({model.name})")
+                t_new = min(t + h_abs, t_stop)
+                h = h_abs = t_new - t
+                x_new, f_new, stages, err = _dp45_step(rhs, step_ctx, t, h, x, f, atol, rtol)
+                rhs_calls += 6
+                if err < 1.0:
+                    factor = _MAX_FACTOR if err == 0.0 else \
+                        min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+                rejected_total += 1
+            if not all(map(math.isfinite, x_new)):
+                raise IntegrationError(
+                    f"non-finite state at t = {t_new:.9f} s ({model.name})")
+            accepted += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            g_new = x_new[0] - l0
+
+            crossed = (not contact and g_prev > 0.0 and g_new <= 0.0) or \
+                      (contact and g_prev < 0.0 and g_new >= 0.0)
+            if crossed:
+                dense = _dense_output(t, h, x, stages)
+                t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
+                rec.record_span(dense, t, t_ev, ctx)
+                line.push(t, t_ev, dense if contact else None, ctx)
+                event = t_ev, dense(t_ev)
+                break
+
+            dense = _dense_output(t, h, x, stages) if contact else None
+            if rec.due(t_new):
+                rec.record_span(dense or _dense_output(t, h, x, stages), t, t_new, ctx)
+            line.push(t, t_new, dense, ctx)
+            t, x, f = t_new, x_new, f_new
+            g_prev = g_new
+
+        self.prev_h = h
+        counts = self.counts
+        counts["rhs_calls"] += rhs_calls
+        counts["accepted_steps"] += accepted
+        counts["rejected_steps"] += rejected_total
+        counts["segments"] += 1
+        counts["min_step_taken"] = min(counts["min_step_taken"], h_min)
+        counts["max_step_taken"] = max(counts["max_step_taken"], h_max)
+        return t, x, event
 
 
 # ---------------------------------------------------------------------------
-# closed-form path: ballistic flight, exact linear stance
+# closed-form propagators: exact linear stance, ballistic flight
 # ---------------------------------------------------------------------------
 
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])
@@ -840,7 +858,7 @@ def _liftoff(flow: _StanceFlow, z: np.ndarray, h: float, y_end: float, l0: float
 
 
 def _stance(flow: _StanceFlow, system: LinearStance, model: HoppingModel,
-            rec: _Recorder, ctx: StepContext, x: np.ndarray, t_end: float,
+            rec: _Recorder, ctx: StepContext, x, t_end: float,
             stats: dict) -> tuple[float, np.ndarray] | None:
     """Propagate one stance from its touchdown state ``x`` piece by piece.
 
@@ -909,38 +927,6 @@ def _flight(model: HoppingModel, rec: _Recorder, t: float, x,
     if t_td > t_end:
         return None
     return t_td, _ballistic(x, t_td - t, gravity, flow)
-
-
-def _propagate_exact(model: HoppingModel, cfg: IntegratorConfig, rec: _Recorder,
-                     system: LinearStance) -> tuple[list[TraceEvent], dict]:
-    """Closed-form flight parabolas and exact linear stances, event to event."""
-    flow = _StanceFlow(system)
-    events: list[TraceEvent] = []
-    stats = {"intervals": 0, "newton_iterations": 0}
-
-    t = 0.0
-    x = np.asarray(model.initial_state(), dtype=float)
-    ctx = StepContext(True, 0.0) if x[0] <= model.common.rest_length else _FLIGHT
-    rec.record_state(t, x, ctx)
-    while t < cfg.t_end - _TIME_EPS:
-        if ctx.contact:
-            end = _stance(flow, system, model, rec, ctx, x, cfg.t_end, stats)
-            if end is None:
-                break
-            t_ev, x_ev = end
-            kind, x_after, ctx_after = "liftoff", model.on_liftoff(x_ev), _FLIGHT
-        else:
-            end = _flight(model, rec, t, x, cfg.t_end)
-            if end is None:
-                break
-            t_ev, x_ev = end
-            kind, x_after, ctx_after = "touchdown", x_ev, StepContext(True, t_ev)
-        ydd_before = float(model.observe(t_ev, x_ev, ctx)[0])
-        ydd_after = float(model.observe(t_ev, x_after, ctx_after)[0])
-        events.append(TraceEvent(t_ev, kind, float(x_after[0]), float(x_after[1]),
-                                 ydd_before, ydd_after))
-        t, x, ctx = t_ev, x_after, ctx_after
-    return events, stats
 
 
 def contact_segments(contact: np.ndarray) -> list[tuple[int, int, bool]]:

@@ -221,8 +221,9 @@ class LinearStance:
     actuator input is ``u = feedback @ x + r(s)``; ``matrix`` already holds
     the ``input_gain * feedback`` term.  The model is exact only while
     ``|u| <= input_bound``, where the real controller does not saturate.  A
-    model that has a linear stance hops ballistically in flight, its
-    auxiliary state moved by the model's ``flight_flow``.
+    model that has a linear stance reads no delayed force, and hops
+    ballistically in flight, its auxiliary state moved by the model's
+    ``flight_flow``.
     """
 
     matrix: np.ndarray
@@ -572,10 +573,8 @@ class DCMotModel(HoppingModel):
     def initial_state(self) -> np.ndarray:
         return np.array([1.070, 0.0, 0.0])
 
-    def on_liftoff(self, x: np.ndarray) -> np.ndarray:
-        x = x.copy()
-        x[2] = 0.0
-        return x
+    def on_liftoff(self, x: Sequence[float]) -> tuple[float, float, float]:
+        return (x[0], x[1], 0.0)
 
     def control(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         if not ctx.contact:

@@ -394,6 +394,18 @@ class TestReport:
         assert "trace_muslin.csv" in err and "has stepper = 'rk45'" in err
         assert _snapshot(tmp_path) == kept
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--bins", "0"], "bin count must be >= 1"),
+        (["--smooth-block", "4", "--state-series"], "block must be odd"),
+    ], ids=["bins-0", "smooth-block-4"])
+    def test_refused_setting_writes_nothing(self, tmp_path, capsys, argv, reason):
+        # the discretization, measures and state series are made before any write
+        out = tmp_path / "out"
+        rc = main(["report", "--duration", "2", "--out", str(out), *argv])
+        assert rc == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("warp_drive = 9\n", encoding="utf-8")

@@ -2,10 +2,11 @@
 
 The session ``pipeline`` (8 s runs, 300 bins, domains pooled over the three
 traces) must reproduce, for each model, the nine aggregate measures to
-1e-12 bits, the SHA-256 of its (w, s, a) symbol columns, and its contact
-event count and last event time.  A change that moves the traces on purpose
-updates these values in the same change and lists old -> new; no other
-change touches them.
+1e-12 bits, the SHA-256 of its (w, s, a) symbol columns, its contact event
+count and last event time, and the SHA-256 of its samples and of its events:
+the traces themselves are held bit for bit, not only what binning keeps of
+them.  A change that moves the traces on purpose updates these values in the
+same change and lists old -> new; no other change touches them.
 
 The values pin this host's numpy and BLAS: the dcmot path uses ``@`` and
 ``solve``, so another BLAS may move the last bits.  Each failure names the
@@ -67,11 +68,43 @@ EVENTS = {
     'dcmot': (32, 7.8967607589037581),
 }
 
+SAMPLES_SHA256 = {
+    'musfib': '86fe5e926626f6636e547b7846ddde816e76a85e2457ee5c51d320059560be84',
+    'muslin': '2cc6f5233bc28ae3dccd2127c03494c880fc88caf17e49158a71cdc58e1fc45b',
+    'dcmot': '60f04d502e9248829b73958b0da50399f73983231be7d76c3a9fd62f3a0ec7c0',
+}
+EVENTS_SHA256 = {
+    'musfib': '5ea99fe0754d65ddda36358464008546e53929d29d58d397880ee52c9e62501b',
+    'muslin': '0011e700957af7d321791f526dd89ff6c8a52b1d8dfae7f0a70d91107898954a',
+    'dcmot': '911fff131900114a76d62da8a4b3292572f208dd1cf097fc94c9091a9330ffb8',
+}
+
 
 def _symbols_sha256(d) -> str:
     digest = hashlib.sha256()
     for column in (d.w, d.s, d.a):
         digest.update(np.ascontiguousarray(column, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def _samples_sha256(trace) -> str:
+    """The t, y, yd, ydd, sensors and action columns as little-endian
+    float64 bytes (sensors row by row), then the contact flags as bool bytes."""
+    digest = hashlib.sha256()
+    for column in (trace.t, trace.y, trace.yd, trace.ydd, trace.sensors, trace.action):
+        digest.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(trace.contact, dtype=bool).tobytes())
+    return digest.hexdigest()
+
+
+def _events_sha256(trace) -> str:
+    """Each event's kind as UTF-8, then its t, y, yd, ydd_before and
+    ydd_after as little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for ev in trace.events:
+        digest.update(ev.kind.encode("utf-8"))
+        digest.update(np.array([ev.t, ev.y, ev.yd, ev.ydd_before, ev.ydd_after],
+                               dtype="<f8").tobytes())
     return digest.hexdigest()
 
 
@@ -96,3 +129,15 @@ def test_events_hold(pipeline, model):
     count, last = EVENTS[model]
     assert len(events) == count, f"{model}.events: {len(events)} != committed {count}"
     assert events[-1].t == last, f"{model}.events[-1].t: {events[-1].t!r} != {last!r}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_samples_hold(pipeline, model):
+    got = _samples_sha256(pipeline.traces[model])
+    assert got == SAMPLES_SHA256[model], f"{model}.samples: sha256 {got}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_event_records_hold(pipeline, model):
+    got = _events_sha256(pipeline.traces[model])
+    assert got == EVENTS_SHA256[model], f"{model}.events records: sha256 {got}"

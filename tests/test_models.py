@@ -218,6 +218,11 @@ class TestSystemDerivative:
         assert model.on_liftoff(x)[2] == 0.0
         assert x[2] == 2.5  # original untouched
 
+    def test_liftoff_takes_any_three_sequence(self):
+        # the base signature's Sequence[float]; the integrator's state is a float tuple
+        model = DCMotModel(_ref_two_point())
+        assert model.on_liftoff((1.0, 1.1, 2.5)) == (1.0, 1.1, 0.0)
+
 
 class TestDCMotMassScaling:
     def test_derived_mass_value(self):
