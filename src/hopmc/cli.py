@@ -34,7 +34,13 @@ import json
 import sys
 from pathlib import Path
 
-from .discretize import BinningSpec, DiscreteTrace, build_discrete_trace, compute_domains
+from .discretize import (
+    DEFAULT_BINS,
+    BinningSpec,
+    DiscreteTrace,
+    build_discrete_trace,
+    compute_domains,
+)
 from .integrator import (
     IntegrationError,
     IntegratorConfig,
@@ -83,7 +89,8 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="simulate one hopping model")
     sim.add_argument("--model", required=True, choices=MODEL_NAMES)
-    sim.add_argument("--duration", type=float, default=8.0, help="t_end, seconds [8.0]")
+    sim.add_argument("--duration", type=float, default=IntegratorConfig.t_end,
+                     help="t_end, seconds [%(default)s]")
     sim.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sim.add_argument("--config", type=Path, help="key = value parameter overrides")
     sim.add_argument("--reference", type=Path,
@@ -92,11 +99,11 @@ def _build_parser() -> _Parser:
 
     mea = sub.add_parser("measure", help="compute measures over trace files")
     mea.add_argument("traces", nargs="+", type=Path)
-    mea.add_argument("--bins", type=int, default=300)
+    mea.add_argument("--bins", type=int, default=DEFAULT_BINS,
+                     help="bins per channel [%(default)s]")
     mea.add_argument("--out", type=Path, default=Path("."))
     mea.add_argument("--state-series", action="store_true",
                      help="write mc_state_<model>.csv files")
-    mea.add_argument("--smooth-block", type=int, default=5)
 
     swe = sub.add_parser("sweep-bins", help="measures vs. bin count")
     swe.add_argument("traces", nargs="+", type=Path)
@@ -106,11 +113,12 @@ def _build_parser() -> _Parser:
 
     rep = sub.add_parser("report", help="full pipeline over all models")
     rep.add_argument("--out", type=Path, default=Path("."))
-    rep.add_argument("--duration", type=float, default=8.0, help="t_end, seconds [8.0]")
-    rep.add_argument("--bins", type=int, default=300)
+    rep.add_argument("--duration", type=float, default=IntegratorConfig.t_end,
+                     help="t_end, seconds [%(default)s]")
+    rep.add_argument("--bins", type=int, default=DEFAULT_BINS,
+                     help="bins per channel [%(default)s]")
     rep.add_argument("--config", type=Path)
     rep.add_argument("--state-series", action="store_true")
-    rep.add_argument("--smooth-block", type=int, default=5)
     return parser
 
 
@@ -170,10 +178,13 @@ def _load_traces(paths) -> list[Trace]:
     return traces
 
 
-def _discretize(traces: list[Trace], bins: int) -> tuple[BinningSpec, list[DiscreteTrace]]:
-    """The shared binning spec and each trace's discrete form, built once."""
+def _measure(traces: list[Trace], bins: int
+             ) -> tuple[BinningSpec, list[DiscreteTrace], list[MeasureResult]]:
+    """The shared binning spec, each trace's discrete form (built once) and
+    its aggregate measures."""
     spec = compute_domains(traces, bins=bins)
-    return spec, [build_discrete_trace(t, spec) for t in traces]
+    discrete = [build_discrete_trace(t, spec) for t in traces]
+    return spec, discrete, [compute_measures(d) for d in discrete]
 
 
 _TABLE_ROWS = [
@@ -198,32 +209,24 @@ def _print_table(results: list[MeasureResult], bins: int) -> None:
         print(f"{label:<22}{cells}")
 
 
-def _state_series(discrete: list[DiscreteTrace], smooth_block: int) -> dict[str, tuple]:
-    """The columns of each model's ``mc_state_<model>.csv``.  Both verbs that
-    write them compute them first, so an invalid ``smooth_block`` is refused
-    before any file is written, whether or not the series are asked for."""
-    series = {}
+def _write_state_series(discrete: list[DiscreteTrace], out: Path) -> None:
+    """Write each model's ``mc_state_<model>.csv``: its state series and their
+    block-5 moving averages, the smoothing the state-dependent analysis reads."""
     for d in discrete:
         w_series, mi_series = mc_w_state(d), mc_mi_state(d)
-        series[d.model] = (d.t, w_series, mi_series, moving_average(w_series, smooth_block),
-                           moving_average(mi_series, smooth_block), d.y, d.contact)
-    return series
-
-
-def _write_state_series(series: dict[str, tuple], out: Path) -> None:
-    for model, columns in series.items():
-        path = write_csv(out / f"mc_state_{model}.csv",
-                         "t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact", columns)
+        path = write_csv(out / f"mc_state_{d.model}.csv",
+                         "t,mc_w,mc_mi,mc_w_smooth,mc_mi_smooth,y,contact",
+                         (d.t, w_series, mi_series, moving_average(w_series),
+                          moving_average(mi_series), d.y, d.contact))
         print(f"wrote {path}")
 
 
 def cmd_measure(args) -> int:
-    _, discrete = _discretize(_load_traces(args.traces), args.bins)
-    series = _state_series(discrete, args.smooth_block)
-    _print_table([compute_measures(d) for d in discrete], args.bins)
+    _, discrete, results = _measure(_load_traces(args.traces), args.bins)
+    _print_table(results, args.bins)
     if args.state_series:
         args.out.mkdir(parents=True, exist_ok=True)
-        _write_state_series(series, args.out)
+        _write_state_series(discrete, args.out)
     return EXIT_OK
 
 
@@ -235,12 +238,13 @@ def cmd_sweep_bins(args) -> int:
     if len(bin_list) < 2:
         raise ValueError("sweep needs at least two bin counts")
     traces = _load_traces(args.traces)
+    # every bin count is measured before the first write
+    sweep = [(bins, _measure(traces, bins)[2]) for bins in bin_list]
     args.out.mkdir(parents=True, exist_ok=True)
     lines = ["model,bins,mc_w,mc_mi"]
     print(f"{'model':<10}{'bins':>6}{'mc_w':>12}{'mc_mi':>12}")
-    for bins in bin_list:
-        _, discrete = _discretize(traces, bins)
-        for res in map(compute_measures, discrete):
+    for bins, results in sweep:
+        for res in results:
             lines.append(f"{res.model},{bins},"
                          f"{format(res.mc_w, '.17g')},{format(res.mc_mi, '.17g')}")
             print(f"{res.model:<10}{bins:>6}{res.mc_w:>12.4f}{res.mc_mi:>12.4f}")
@@ -286,8 +290,7 @@ def _refuse_stale(path: Path, record: dict, meta: dict) -> None:
 def cmd_report(args) -> int:
     overrides = _scope_overrides(load_config(args.config) if args.config else {})
     cfg = IntegratorConfig(t_end=args.duration)
-    # every trace, the measures and the state series are made in memory
-    # before any file is written
+    # every trace and the measures are made in memory before the first write
     traces, fresh, reference = {}, [], None
     for name in MODEL_NAMES:
         if name == "dcmot":     # MODEL_NAMES lists musfib first, whose stance it tracks
@@ -300,9 +303,7 @@ def cmd_report(args) -> int:
         else:
             traces[name] = integrator.integrate(model, cfg)
             fresh.append(name)
-    spec, discrete = _discretize(list(traces.values()), args.bins)
-    results = [compute_measures(d) for d in discrete]
-    series = _state_series(discrete, args.smooth_block)
+    spec, discrete, results = _measure(list(traces.values()), args.bins)
 
     args.out.mkdir(parents=True, exist_ok=True)
     for name, trace in traces.items():
@@ -318,7 +319,7 @@ def cmd_report(args) -> int:
     _print_table(results, args.bins)
     spec.save(args.out / "binning_spec.txt")
     if args.state_series:
-        _write_state_series(series, args.out)
+        _write_state_series(discrete, args.out)
     summary = {
         "bins": args.bins,
         "series_window": "full run including the initial transient",

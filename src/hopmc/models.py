@@ -63,9 +63,8 @@ MODEL_NAMES = ("musfib", "muslin", "dcmot")
 _ECC_SLOPE_FACTOR = 7.56
 
 
-def positive(default: float | None) -> float:
-    """A dataclass field that admits the finite numbers above zero; a None
-    default stands for a value derived at construction."""
+def positive(default: float) -> float:
+    """A dataclass field that admits the finite numbers above zero."""
     return field(default=default, metadata={"sign": "positive"})
 
 
@@ -78,11 +77,9 @@ def _check(instance) -> None:
     """Reject a field of the dataclass ``instance`` that lies outside its
     admissible set: every field admits finite values only, and one declared
     :func:`positive` or :func:`negative` that sign only.  The bounds are the
-    physical signs, never magnitudes.  None, a value still to derive, passes."""
+    physical signs, never magnitudes."""
     for f in fields(instance):
         value, sign = getattr(instance, f.name), f.metadata.get("sign")
-        if value is None:
-            continue
         if not math.isfinite(value) or (sign == "positive" and value <= 0) \
                 or (sign == "negative" and value >= 0):
             raise ValueError(f"{f.name} = {value!r}: must be finite"
@@ -161,10 +158,8 @@ class DCMotParams:
     """Gear-driven DC motor with PD trajectory tracking.
 
     The motor is too small to carry the muscle hopper's mass, so the body
-    mass is scaled down to keep accelerations comparable:
-    ``body_mass = gear_ratio * nominal_torque / f_max_ref * base_body_mass``.
-    Passing an explicit ``body_mass`` that disagrees with this identity by
-    more than 1e-6 relative is rejected.
+    mass is scaled down to keep accelerations comparable: :attr:`body_mass`
+    is derived from the gear/torque identity, never set.
     """
 
     torque_const: float = positive(0.126)     # N*m/A
@@ -177,18 +172,14 @@ class DCMotParams:
     nominal_torque: float = positive(0.212)   # N*m
     f_max_ref: float = positive(2500.0)       # N, muscle force scale used for mass scaling
     base_body_mass: float = positive(80.0)    # kg, muscle hopper's body mass
-    body_mass: float | None = positive(None)
 
     def __post_init__(self) -> None:
         _check(self)
-        derived = self.gear_ratio * self.nominal_torque / self.f_max_ref * self.base_body_mass
-        if self.body_mass is None:
-            object.__setattr__(self, "body_mass", derived)
-        elif abs(self.body_mass - derived) > 1e-6 * derived:
-            raise ValueError(
-                f"body_mass {self.body_mass!r} violates the gear/torque scaling "
-                f"identity (expected {derived!r})"
-            )
+
+    @property
+    def body_mass(self) -> float:
+        """kg: ``gear_ratio * nominal_torque / f_max_ref * base_body_mass``."""
+        return self.gear_ratio * self.nominal_torque / self.f_max_ref * self.base_body_mass
 
 
 @dataclass(frozen=True)

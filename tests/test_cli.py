@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import os
 import shutil
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 import hopmc
-from hopmc.cli import main
+from hopmc.cli import _build_parser, main
 from hopmc.integrator import IntegratorConfig, extract_stance_reference, integrate, load_trace
-from hopmc.models import make_model, write_csv
+from hopmc.models import DCMotParams, make_model, write_csv
 
 
 def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
@@ -247,11 +248,6 @@ class TestMeasure:
         assert rc == 1
         assert "duplicate" in capsys.readouterr().err
 
-    def test_even_smooth_block_rejected(self, trace_dir, tmp_path):
-        paths = _copy_traces(trace_dir, tmp_path, names=("musfib",))
-        rc = main(["measure", *paths, "--smooth-block", "4"])
-        assert rc == 1
-
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["measure", str(tmp_path / "nope.csv")])
         assert rc == 1
@@ -279,6 +275,17 @@ class TestSweepBins:
     def test_garbage_bins_rejected(self, trace_dir, tmp_path):
         paths = _copy_traces(trace_dir, tmp_path, names=("musfib",))
         assert main(["sweep-bins", *paths, "--bins", "50,many", "--out", str(tmp_path)]) == 1
+
+    def test_refused_bin_count_writes_nothing(self, trace_dir, tmp_path, capsys):
+        # every bin count is measured before the table or a file is written
+        paths = _copy_traces(trace_dir, tmp_path, names=("musfib",))
+        out = tmp_path / "new"
+        rc = main(["sweep-bins", *paths, "--bins", "0,300", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "bin count must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestReport:
@@ -396,25 +403,71 @@ class TestReport:
 
     @pytest.mark.parametrize("argv, reason", [
         (["--bins", "0"], "bin count must be >= 1"),
-        (["--smooth-block", "4", "--state-series"], "block must be odd"),
-    ], ids=["bins-0", "smooth-block-4"])
+    ], ids=["bins-0"])
     def test_refused_setting_writes_nothing(self, tmp_path, capsys, argv, reason):
-        # the discretization, measures and state series are made before any write
+        # the discretization and measures are made before any write
         out = tmp_path / "out"
         rc = main(["report", "--duration", "2", "--out", str(out), *argv])
         assert rc == 1
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys):
+    # body_mass is derived from the gear/torque identity, so no model knows it
+    @pytest.mark.parametrize("key", ["warp_drive", "body_mass"])
+    def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys, key):
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("warp_drive = 9\n", encoding="utf-8")
+        cfg.write_text(f"{key} = 0.6784\n", encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
         rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
         assert rc == 1
-        assert "warp_drive" in capsys.readouterr().err
+        assert f"unknown parameter(s) for every model: ['{key}']" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_cached_dcmot_recording_body_mass_is_rejected(self, trace_dir, tmp_path,
+                                                          capsys):
+        # a dcmot sidecar from when body_mass was a parameter of its own
+        _copy_traces(trace_dir, tmp_path)
+        side = tmp_path / "trace_dcmot.meta.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["meta"]["params"]["body_mass"] = DCMotParams().body_mass
+        side.write_text(json.dumps(sidecar), encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        rc = main(["report", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_dcmot.csv has params.body_mass = 0.6784" in err
+        assert _snapshot(tmp_path) == kept
+
+
+class TestOptions:
+    # every verb's option strings: adding or removing a CLI option changes
+    # this table in the same diff
+    OPTIONS = {
+        "simulate": {"--model", "--duration", "--out", "--config", "--reference"},
+        "measure": {"--bins", "--out", "--state-series"},
+        "sweep-bins": {"--bins", "--out"},
+        "report": {"--out", "--duration", "--bins", "--config", "--state-series"},
+    }
+
+    @pytest.mark.parametrize("verb", OPTIONS)
+    def test_option_strings_are_pinned(self, verb):
+        verbs = next(a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices
+        assert verbs.keys() == self.OPTIONS.keys()
+        options = {s for a in verbs[verb]._actions for s in a.option_strings}
+        assert options - {"-h", "--help"} == self.OPTIONS[verb]
+
+    @pytest.mark.parametrize("verb", ["measure", "report"])
+    def test_smooth_block_is_a_usage_error(self, trace_dir, tmp_path, capsys, verb):
+        # the smoothed columns use the fixed block 5
+        traces = _copy_traces(trace_dir, tmp_path, names=("musfib",)) if verb == "measure" else []
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *traces, "--state-series", "--smooth-block", "4", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --smooth-block 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchmarkHooks:

@@ -228,13 +228,10 @@ class TestDCMotMassScaling:
     def test_derived_mass_value(self):
         assert P_MOT.body_mass == pytest.approx(0.6784, rel=1e-9)
 
-    def test_consistency_check_accepts_exact_value(self):
-        p = DCMotParams(body_mass=0.6784)
-        assert p.body_mass == pytest.approx(0.6784, rel=1e-6)
-
-    def test_consistency_check_rejects_violation(self):
-        with pytest.raises(ValueError, match="scaling"):
-            DCMotParams(body_mass=0.68001)
+    def test_body_mass_is_not_a_parameter(self):
+        # derived from the identity, so even its own value is an unknown key
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) for dcmot: \['body_mass'\]"):
+            make_model("dcmot", {"body_mass": 0.6784}, _ref_two_point())
 
     def test_model_uses_scaled_mass(self):
         model = DCMotModel(_ref_two_point())
@@ -247,7 +244,7 @@ VALIDATED = (HopperCommon, MusFibParams, MusLinParams, DCMotParams, IntegratorCo
 POSITIVE = {"mass", "gravity", "rest_length", "f_max", "l_opt", "fl_width", "fl_steepness",
             "fv_curvature", "fv_plateau", "act_tau", "reflex_delay", "fv_slope",
             "torque_const", "gear_ratio", "resistance", "inductance", "volt_max",
-            "nominal_torque", "f_max_ref", "base_body_mass", "body_mass", "tol", "t_end",
+            "nominal_torque", "f_max_ref", "base_body_mass", "tol", "t_end",
             "max_step"}
 NEGATIVE = {"v_max"}
 FINITE = {"kp", "kd", "reflex_gain", "stim_base", "stim_min", "stim_max"}
@@ -296,8 +293,6 @@ class TestParamValidation:
     def test_cross_field_rules_after_signs(self):
         with pytest.raises(ValueError, match="^stim_min = 0.5, stim_max = 0.25"):
             MusLinParams(stim_min=0.5, stim_max=0.25)
-        with pytest.raises(ValueError, match="^body_mass = -0.6784: must be finite and "):
-            DCMotParams(body_mass=-0.6784)
 
     def test_common_invariants(self):
         with pytest.raises(ValueError):
