@@ -58,7 +58,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +169,18 @@ def meta_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
+def _require_keys(side: Path, what: str, record, keys) -> None:
+    """Fail naming the sidecar ``side`` unless ``record`` is a JSON object
+    with exactly the keys ``keys``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{side}: {what} is not a JSON object")
+    missing, extra = sorted(set(keys) - record.keys()), sorted(record.keys() - set(keys))
+    if missing:
+        raise ValueError(f"{side}: {what} lacks the key {missing[0]!r}")
+    if extra:
+        raise ValueError(f"{side}: {what} has the unknown key {extra[0]!r}")
+
+
 def load_trace(path: str | Path) -> Trace:
     """Read a trace CSV and its .meta.json sidecar."""
     path = Path(path)
@@ -176,6 +188,10 @@ def load_trace(path: str | Path) -> Trace:
     if not side.exists():
         raise FileNotFoundError(f"missing metadata sidecar {side}")
     sidecar = json.loads(side.read_text(encoding="utf-8"))
+    _require_keys(side, "sidecar", sidecar,
+                  ("model", "action_kind", "sensor_names", "events", "meta"))
+    for event in sidecar["events"]:
+        _require_keys(side, "event", event, [f.name for f in fields(TraceEvent)])
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n_sensors = len(sidecar["sensor_names"])
     if data.shape[1] != 6 + n_sensors:
@@ -866,31 +882,35 @@ def _stance(flow: _StanceFlow, system: LinearStance, model: HoppingModel,
     None when the run ends first.
     """
     l0 = model.common.rest_length
-    for s_a, h, coeffs in _input_pieces(system, 1.0 / _SAMPLE_RATE):
-        t_a = ctx.t_touchdown + s_a
-        z = np.concatenate((x, coeffs, (1.0,)))
-        x_b = flow.recurring(h) @ z
-        stats["intervals"] += 1
-        lift = x[0] < l0 <= x_b[0]
-        if lift:
-            sigma, x_ev = _liftoff(flow, z, h, x_b[0], l0, stats)
-            t_stop = t_a + sigma
-        else:
-            t_stop = t_a + h
+    # an overflowing state makes the propagators' products inf or nan, which
+    # _check_input reports as an IntegrationError; numpy's warnings would
+    # only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s_a, h, coeffs in _input_pieces(system, 1.0 / _SAMPLE_RATE):
+            t_a = ctx.t_touchdown + s_a
+            z = np.concatenate((x, coeffs, (1.0,)))
+            x_b = flow.recurring(h) @ z
+            stats["intervals"] += 1
+            lift = x[0] < l0 <= x_b[0]
+            if lift:
+                sigma, x_ev = _liftoff(flow, z, h, x_b[0], l0, stats)
+                t_stop = t_a + sigma
+            else:
+                t_stop = t_a + h
 
-        def state(t, z=z, t_a=t_a, coeffs=coeffs):
-            xs = flow.recurring(t - t_a) @ z
-            _check_input(model, system, t, xs, coeffs, t - t_a)
-            return xs
+            def state(t, z=z, t_a=t_a, coeffs=coeffs):
+                xs = flow.recurring(t - t_a) @ z
+                _check_input(model, system, t, xs, coeffs, t - t_a)
+                return xs
 
-        rec.record_span(state, t_a, min(t_stop, t_end), ctx)
-        if t_stop > t_end or (t_stop == t_end and not lift):
-            return None
-        if lift:
-            _check_input(model, system, t_stop, x_ev, coeffs, sigma)
-            return t_stop, x_ev
-        _check_input(model, system, t_stop, x_b, coeffs, h)
-        x = x_b
+            rec.record_span(state, t_a, min(t_stop, t_end), ctx)
+            if t_stop > t_end or (t_stop == t_end and not lift):
+                return None
+            if lift:
+                _check_input(model, system, t_stop, x_ev, coeffs, sigma)
+                return t_stop, x_ev
+            _check_input(model, system, t_stop, x_b, coeffs, h)
+            x = x_b
 
 
 def _fall_time(height: float, speed: float, gravity: float) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -88,7 +88,7 @@ def _check(instance) -> None:
 
 @dataclass(frozen=True)
 class HopperCommon:
-    """Point-mass hopper shared by all actuator models."""
+    """Point-mass hopper shared by all actuator models; DCMotModel scales its mass."""
 
     mass: float = positive(80.0)          # kg
     gravity: float = positive(9.81)       # m/s^2, magnitude; acts in -y
@@ -158,8 +158,8 @@ class DCMotParams:
     """Gear-driven DC motor with PD trajectory tracking.
 
     The motor is too small to carry the muscle hopper's mass, so the body
-    mass is scaled down to keep accelerations comparable: :attr:`body_mass`
-    is derived from the gear/torque identity, never set.
+    mass is scaled down to keep accelerations comparable: :class:`DCMotModel`
+    applies the gear/torque identity to the shared hopper's ``mass``.
     """
 
     torque_const: float = positive(0.126)     # N*m/A
@@ -171,15 +171,9 @@ class DCMotParams:
     kd: float = 500.0                         # V*s/m
     nominal_torque: float = positive(0.212)   # N*m
     f_max_ref: float = positive(2500.0)       # N, muscle force scale used for mass scaling
-    base_body_mass: float = positive(80.0)    # kg, muscle hopper's body mass
 
     def __post_init__(self) -> None:
         _check(self)
-
-    @property
-    def body_mass(self) -> float:
-        """kg: ``gear_ratio * nominal_torque / f_max_ref * base_body_mass``."""
-        return self.gear_ratio * self.nominal_torque / self.f_max_ref * self.base_body_mass
 
 
 @dataclass(frozen=True)
@@ -541,6 +535,9 @@ class MusLinModel(_MuscleModel):
 class DCMotModel(HoppingModel):
     """Hopper driven by a PD-controlled DC motor tracking a recorded stance.
 
+    ``common`` is the shared hopper; ``model.common.mass`` is its ``mass``
+    times ``gear_ratio * nominal_torque / f_max_ref`` (0.6784 kg by default).
+
     The reference clock restarts at each touchdown.  In flight the armature
     voltage is zero and the winding current is held at zero (reset at
     liftoff), so the leg force vanishes exactly as required by the contact
@@ -555,10 +552,9 @@ class DCMotModel(HoppingModel):
     def __init__(self, reference: ReferenceTrajectory,
                  params: DCMotParams | None = None,
                  common: HopperCommon | None = None):
-        params = params or DCMotParams()
-        if common is None:
-            common = HopperCommon(mass=params.body_mass)
-        super().__init__(common, params)
+        p, common = params or DCMotParams(), common or HopperCommon()
+        mass = p.gear_ratio * p.nominal_torque / p.f_max_ref * common.mass
+        super().__init__(replace(common, mass=mass), p)
         self.reference = reference
 
     def initial_state(self) -> np.ndarray:
@@ -630,8 +626,10 @@ _COMMON_FIELDS = {f.name for f in fields(HopperCommon)}
 
 
 def load_config(path: str | Path) -> dict[str, float]:
-    """Parse a ``key = value`` parameter file ('#' starts a comment)."""
+    """Parse a ``key = value`` parameter file ('#' starts a comment); a key
+    may appear once."""
     overrides: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -639,6 +637,9 @@ def load_config(path: str | Path) -> dict[str, float]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             overrides[key] = float(value)
         except ValueError as exc:
@@ -661,14 +662,12 @@ def make_model(name: str, overrides: dict[str, float] | None = None,
     unknown = sorted(set(overrides) - parameter_names(name))
     if unknown:
         raise ValueError(f"unknown parameter(s) for {name}: {unknown}")
-    common_kwargs = {k: v for k, v in overrides.items() if k in _COMMON_FIELDS}
+    common = HopperCommon(**{k: v for k, v in overrides.items() if k in _COMMON_FIELDS})
     params = _PARAM_TYPES[name](**{k: v for k, v in overrides.items() if k not in _COMMON_FIELDS})
     if name == "musfib":
-        return MusFibModel(HopperCommon(**common_kwargs), params)
+        return MusFibModel(common, params)
     if name == "muslin":
-        return MusLinModel(HopperCommon(**common_kwargs), params)
+        return MusLinModel(common, params)
     if reference is None:
         raise ValueError("dcmot requires a stance reference trajectory")
-    # the motor hopper carries the scaled-down body mass unless overridden
-    common_kwargs.setdefault("mass", params.body_mass)
-    return DCMotModel(reference, params, HopperCommon(**common_kwargs))
+    return DCMotModel(reference, params, common)

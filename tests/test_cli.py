@@ -166,6 +166,15 @@ class TestSimulate:
         assert reason in capsys.readouterr().err
         assert _snapshot(out) == kept
 
+    def test_dcmot_with_shared_mass_at_its_default(self, trace_dir, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mass = 80\n", encoding="utf-8")
+        default, configured = tmp_path / "default", tmp_path / "configured"
+        for out, extra in ((default, []), (configured, ["--config", str(cfg)])):
+            assert main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
+                         "--reference", str(trace_dir / "reference_stance.csv"), *extra]) == 0
+        assert _snapshot(configured) == _snapshot(default)
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -251,6 +260,27 @@ class TestMeasure:
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["measure", str(tmp_path / "nope.csv")])
         assert rc == 1
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("verb", ["measure", "report"])
+    @pytest.mark.parametrize("damage, named", [
+        (lambda sidecar: sidecar.pop("sensor_names"), "sidecar lacks the key 'sensor_names'"),
+        (lambda sidecar: sidecar["events"][0].update(spin=1.0),
+         "event has the unknown key 'spin'"),
+    ], ids=["no-sensor-names", "event-extra-key"])
+    def test_is_a_usage_error(self, trace_dir, tmp_path, capsys, verb, damage, named):
+        paths = _copy_traces(trace_dir, tmp_path)
+        side = tmp_path / "trace_musfib.meta.json"
+        sidecar = json.loads(side.read_text())
+        damage(sidecar)
+        side.write_text(json.dumps(sidecar), encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        argv = ["measure", *paths, "--state-series"] if verb == "measure" else ["report"]
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"hopmc: error: {side}: {named}"]
+        assert _snapshot(tmp_path) == kept
 
 
 class TestSweepBins:
@@ -412,8 +442,8 @@ class TestReport:
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
-    # body_mass is derived from the gear/torque identity, so no model knows it
-    @pytest.mark.parametrize("key", ["warp_drive", "body_mass"])
+    # the shared mass is the only body-mass setting, so no model knows these
+    @pytest.mark.parametrize("key", ["warp_drive", "body_mass", "base_body_mass"])
     def test_config_key_no_model_knows_writes_nothing(self, tmp_path, capsys, key):
         cfg = tmp_path / "p.cfg"
         cfg.write_text(f"{key} = 0.6784\n", encoding="utf-8")
@@ -424,20 +454,43 @@ class TestReport:
         assert f"unknown parameter(s) for every model: ['{key}']" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    # dcmot sidecars from when body_mass, then base_body_mass, was a parameter
+    @pytest.mark.parametrize("key, value", [("body_mass", 0.6784), ("base_body_mass", 80.0)])
     def test_cached_dcmot_recording_body_mass_is_rejected(self, trace_dir, tmp_path,
-                                                          capsys):
-        # a dcmot sidecar from when body_mass was a parameter of its own
+                                                          capsys, key, value):
         _copy_traces(trace_dir, tmp_path)
         side = tmp_path / "trace_dcmot.meta.json"
         sidecar = json.loads(side.read_text())
-        sidecar["meta"]["params"]["body_mass"] = DCMotParams().body_mass
+        sidecar["meta"]["params"][key] = value
         side.write_text(json.dumps(sidecar), encoding="utf-8")
         kept = _snapshot(tmp_path)
         rc = main(["report", "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "trace_dcmot.csv has params.body_mass = 0.6784" in err
+        assert f"trace_dcmot.csv has params.{key} = {value!r}" in err
         assert _snapshot(tmp_path) == kept
+
+    def test_shared_mass_at_its_default_changes_nothing(self, tmp_path):
+        # the motor scales the shared mass, so naming its default is the default run
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mass = 80\n", encoding="utf-8")
+        default, configured = tmp_path / "default", tmp_path / "configured"
+        assert main(["report", "--duration", "2", "--out", str(default)]) == 0
+        assert main(["report", "--duration", "2", "--out", str(configured),
+                     "--config", str(cfg)]) == 0
+        assert _snapshot(configured) == _snapshot(default)
+
+    def test_shared_mass_scales_every_hopper(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mass = 70\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
+        assert rc == 0
+        mass = {name: load_trace(out / f"trace_{name}.csv").meta["params"]["mass"]
+                for name in ("musfib", "muslin", "dcmot")}
+        p = DCMotParams()
+        assert mass == {"musfib": 70.0, "muslin": 70.0,
+                        "dcmot": 70.0 * (p.gear_ratio * p.nominal_torque / p.f_max_ref)}
 
 
 class TestOptions:

@@ -225,13 +225,22 @@ class TestSystemDerivative:
 
 
 class TestDCMotMassScaling:
-    def test_derived_mass_value(self):
-        assert P_MOT.body_mass == pytest.approx(0.6784, rel=1e-9)
+    IDENTITY = P_MOT.gear_ratio * P_MOT.nominal_torque / P_MOT.f_max_ref
 
-    def test_body_mass_is_not_a_parameter(self):
-        # derived from the identity, so even its own value is an unknown key
-        with pytest.raises(ValueError, match=r"unknown parameter\(s\) for dcmot: \['body_mass'\]"):
-            make_model("dcmot", {"body_mass": 0.6784}, _ref_two_point())
+    def test_shared_mass_is_scaled(self):
+        model = make_model("dcmot", {"mass": 70.0}, _ref_two_point())
+        assert model.common.mass == 70.0 * self.IDENTITY
+
+    def test_derived_mass_value(self):
+        mass = make_model("dcmot", None, _ref_two_point()).common.mass
+        assert mass == pytest.approx(0.6784, rel=1e-9)
+        assert mass.hex() == "0x1.5b573eab367a1p-1"     # the float of earlier releases
+
+    @pytest.mark.parametrize("key", ["body_mass", "base_body_mass"])
+    def test_body_mass_is_not_a_parameter(self, key):
+        # the shared mass is the only body-mass setting
+        with pytest.raises(ValueError, match=rf"unknown parameter\(s\) for dcmot: \['{key}'\]"):
+            make_model("dcmot", {key: 0.6784}, _ref_two_point())
 
     def test_model_uses_scaled_mass(self):
         model = DCMotModel(_ref_two_point())
@@ -244,7 +253,7 @@ VALIDATED = (HopperCommon, MusFibParams, MusLinParams, DCMotParams, IntegratorCo
 POSITIVE = {"mass", "gravity", "rest_length", "f_max", "l_opt", "fl_width", "fl_steepness",
             "fv_curvature", "fv_plateau", "act_tau", "reflex_delay", "fv_slope",
             "torque_const", "gear_ratio", "resistance", "inductance", "volt_max",
-            "nominal_torque", "f_max_ref", "base_body_mass", "tol", "t_end",
+            "nominal_torque", "f_max_ref", "tol", "t_end",
             "max_step"}
 NEGATIVE = {"v_max"}
 FINITE = {"kp", "kd", "reflex_gain", "stim_base", "stim_min", "stim_max"}
@@ -342,6 +351,12 @@ class TestConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             make_model("hovercraft")
+
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("f_max = 2600\n# again\nf_max = 2500\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"twice.cfg:3: 'f_max' repeats line 1"):
+            load_config(cfg)
 
     def test_bad_lines_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
