@@ -1,4 +1,4 @@
 """The package version, in a module of its own so that ``integrator`` can
 record it and ``pyproject.toml`` can read it without importing hopmc."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

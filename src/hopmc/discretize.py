@@ -143,9 +143,15 @@ def discretize_channel(x: np.ndarray, domain: ChannelDomain) -> np.ndarray:
 
 
 def combine_symbols(symbols: Sequence[np.ndarray], bases: Sequence[int]) -> np.ndarray:
-    """Mixed-radix pack: s1 + B1*s2 + B1*B2*s3 + ..."""
+    """Mixed-radix pack: s1 + B1*s2 + B1*B2*s3 + ...
+
+    The symbol space, the product of the bases, must fit in int64."""
     if len(symbols) != len(bases):
         raise ValueError("need one base per symbol sequence")
+    bases = tuple(int(b) for b in bases)
+    if np.prod(bases, dtype=object) > np.iinfo(np.int64).max:     # Python ints
+        raise ValueError(f"the symbol space of bases {bases} overflows int64; "
+                         f"use fewer bins")
     out = np.zeros_like(np.asarray(symbols[0], dtype=np.int64))
     place = 1
     for sym, base in zip(symbols, bases):
@@ -153,7 +159,7 @@ def combine_symbols(symbols: Sequence[np.ndarray], bases: Sequence[int]) -> np.n
         if np.any(sym < 0) or np.any(sym >= base):
             raise ValueError(f"symbol out of range for base {base}")
         out = out + place * sym
-        place *= int(base)
+        place *= base
     return out
 
 

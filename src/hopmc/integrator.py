@@ -11,7 +11,7 @@ model exposes and never from its type:
   reference end).  Each knot interval is solved exactly with Van Loan's
   block matrix exponential; the propagators for the recurring interval
   lengths and sample offsets are computed once.  Liftoff is found by
-  Newton's method on the exact y(s) = l0.  The solution is exact only while
+  :func:`_crossing` on the exact y(s) = l0.  The solution is exact only while
   the PD voltage stays inside its bound, which is checked at every interval
   end and every sample; a breach, or a non-finite state, raises
   :class:`IntegrationError`, and there is no fallback stepper;
@@ -27,7 +27,7 @@ model exposes and never from its type:
   muscles' stance and early flight): the 4(5) pair and its quartic dense
   output on plain floats, the algorithm of scipy's RK45 (same tableau,
   error norm, step-size controller and first-step choice).  Contact
-  transitions (y crossing the leg rest length) are localized by bisection
+  transitions (y crossing the leg rest length) are found by :func:`_crossing`
   on the dense output and end the segment, so the discontinuous leg force
   is never stepped across.  The reflex reads the leg force one transport
   delay back off the delay line: the dense output and contact flag of each
@@ -79,8 +79,9 @@ __all__ = [
     "load_trace",
 ]
 
-_EVENT_TOL = 1e-10        # |y - l0| at refined crossings [m]
 _TIME_EPS = 1e-12
+_ROOT_TOL = 1e-15         # Newton step at which a contact event time is final [s]
+_NEWTON_MAX = 60
 _SAMPLE_RATE = 1000.0     # output grid and stance reference grid [Hz]
 
 
@@ -169,16 +170,33 @@ def meta_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
-def _require_keys(side: Path, what: str, record, keys) -> None:
+# the value a sidecar key must hold, and how an error names it
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_SIDECAR = {
+    "model": _STRING,
+    "action_kind": _STRING,
+    "sensor_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                     "a list of strings"),
+    "events": (lambda v: isinstance(v, list), "a list"),
+    "meta": (lambda v: isinstance(v, dict), "an object"),
+}
+_EVENT = {**{f.name: _NUMBER for f in fields(TraceEvent)}, "kind": _STRING}
+
+
+def _require(side: Path, what: str, record, schema: dict) -> None:
     """Fail naming the sidecar ``side`` unless ``record`` is a JSON object
-    with exactly the keys ``keys``."""
+    with exactly the keys of ``schema``, each holding a value of its kind."""
     if not isinstance(record, dict):
         raise ValueError(f"{side}: {what} is not a JSON object")
-    missing, extra = sorted(set(keys) - record.keys()), sorted(record.keys() - set(keys))
+    missing, extra = sorted(schema.keys() - record.keys()), sorted(record.keys() - schema.keys())
     if missing:
         raise ValueError(f"{side}: {what} lacks the key {missing[0]!r}")
     if extra:
         raise ValueError(f"{side}: {what} has the unknown key {extra[0]!r}")
+    for key, (holds, kind) in schema.items():
+        if not holds(record[key]):
+            raise ValueError(f"{side}: {what} key {key!r} is not {kind}")
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -187,11 +205,13 @@ def load_trace(path: str | Path) -> Trace:
     side = meta_path(path)
     if not side.exists():
         raise FileNotFoundError(f"missing metadata sidecar {side}")
-    sidecar = json.loads(side.read_text(encoding="utf-8"))
-    _require_keys(side, "sidecar", sidecar,
-                  ("model", "action_kind", "sensor_names", "events", "meta"))
+    try:
+        sidecar = json.loads(side.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{side}: not valid JSON: {exc}") from None
+    _require(side, "sidecar", sidecar, _SIDECAR)
     for event in sidecar["events"]:
-        _require_keys(side, "event", event, [f.name for f in fields(TraceEvent)])
+        _require(side, "event", event, _EVENT)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n_sensors = len(sidecar["sensor_names"])
     if data.shape[1] != 6 + n_sensors:
@@ -277,19 +297,34 @@ class _DelayLine:
         return self._breaks[0] if self._breaks else math.inf
 
 
-def _bisect_crossing(dense, l0: float, t_lo: float, t_hi: float) -> float:
-    """Refine the y = l0 crossing inside [t_lo, t_hi] to within 1e-10 m."""
-    g_lo = float(dense(t_lo)[0]) - l0
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        g_mid = float(dense(t_mid)[0]) - l0
-        if abs(g_mid) < _EVENT_TOL:
-            return t_mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            t_lo, g_lo = t_mid, g_mid
+def _crossing(state, l0: float, h: float, y_a: float, y_b: float,
+              stats: dict) -> tuple[float, tuple]:
+    """Root of ``state(s)[0] = l0`` in (0, h], where the height goes from
+    ``y_a`` at s = 0 to ``y_b`` at s = h across l0; ``state(s)`` is the
+    step's solution (exact or dense output), (y, yd, ...).
+
+    Newton with the slope yd from the secant guess, kept inside the sign
+    bracket by bisection, until a step is at most 1e-15 s; returns the root
+    and the state there.
+    """
+    lo, hi = 0.0, h
+    below = y_a < l0
+    s = h * (l0 - y_a) / (y_b - y_a)
+    for _ in range(_NEWTON_MAX):
+        stats["newton_iterations"] += 1
+        x = state(s)
+        g = x[0] - l0
+        step = g / x[1]
+        if g == 0.0 or abs(step) <= _ROOT_TOL:
+            return s, x
+        if (g < 0.0) == below:
+            lo = s
         else:
-            t_hi = t_mid
-    return 0.5 * (t_lo + t_hi)
+            hi = s
+        s -= step
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+    return s, state(s)
 
 
 class _Recorder:
@@ -581,7 +616,8 @@ class _DP45:
         self.atol, self.rtol = cfg.tol, max(cfg.tol, 100 * math.ulp(1.0))
         self.prev_h: float | None = None
         self.counts = {"rhs_calls": 0, "accepted_steps": 0, "rejected_steps": 0,
-                       "segments": 0, "min_step_taken": math.inf, "max_step_taken": 0.0}
+                       "segments": 0, "min_step_taken": math.inf, "max_step_taken": 0.0,
+                       "newton_iterations": 0}
 
     def segment(self, rec: _Recorder, t: float, x, ctx: StepContext,
                 t_end: float) -> tuple[float, tuple, tuple[float, tuple] | None]:
@@ -645,10 +681,15 @@ class _DP45:
                       (contact and g_prev < 0.0 and g_new >= 0.0)
             if crossed:
                 dense = _dense_output(t, h, x, stages)
-                t_ev = t_new if g_new == 0.0 else _bisect_crossing(dense, l0, t, t_new)
+                if g_new == 0.0:
+                    t_ev, x_ev = t_new, x_new
+                else:
+                    s, x_ev = _crossing(lambda r: dense(t + r), l0, h, x[0], x_new[0],
+                                        self.counts)
+                    t_ev = t + s
                 rec.record_span(dense, t, t_ev, ctx)
                 line.push(t, t_ev, dense if contact else None, ctx)
-                event = t_ev, dense(t_ev)
+                event = t_ev, x_ev
                 break
 
             dense = _dense_output(t, h, x, stages) if contact else None
@@ -674,8 +715,6 @@ class _DP45:
 # ---------------------------------------------------------------------------
 
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])
-_ROOT_TOL = 1e-15         # Newton step at which a liftoff time is final [s]
-_NEWTON_MAX = 60
 
 # [13/13] Pade coefficients and the 1-norm up to which that approximant is
 # accurate to double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26)
@@ -846,33 +885,6 @@ def _check_input(model: HoppingModel, system: LinearStance, t: float, x: np.ndar
             f"an unsaturated controller")
 
 
-def _liftoff(flow: _StanceFlow, z: np.ndarray, h: float, y_end: float, l0: float,
-             stats: dict) -> tuple[float, np.ndarray]:
-    """Root of y(sigma) = l0 in (0, h] on the exact stance solution, which
-    starts below l0 and ends at ``y_end`` >= l0.
-
-    Newton with the exact slope yd from the secant guess, kept inside the
-    sign bracket by bisection; returns the root and the state there.
-    """
-    lo, hi = 0.0, h
-    sigma = h * (l0 - z[0]) / (y_end - z[0])
-    for _ in range(_NEWTON_MAX):
-        stats["newton_iterations"] += 1
-        x = flow.exact(sigma) @ z
-        g = x[0] - l0
-        step = g / x[1]
-        if g == 0.0 or abs(step) <= _ROOT_TOL:
-            return sigma, x
-        if g < 0.0:
-            lo = sigma
-        else:
-            hi = sigma
-        sigma -= step
-        if not lo < sigma < hi:
-            sigma = 0.5 * (lo + hi)
-    return sigma, flow.exact(sigma) @ z
-
-
 def _stance(flow: _StanceFlow, system: LinearStance, model: HoppingModel,
             rec: _Recorder, ctx: StepContext, x, t_end: float,
             stats: dict) -> tuple[float, np.ndarray] | None:
@@ -893,7 +905,8 @@ def _stance(flow: _StanceFlow, system: LinearStance, model: HoppingModel,
             stats["intervals"] += 1
             lift = x[0] < l0 <= x_b[0]
             if lift:
-                sigma, x_ev = _liftoff(flow, z, h, x_b[0], l0, stats)
+                sigma, x_ev = _crossing(lambda r: flow.exact(r) @ z, l0, h, x[0], x_b[0],
+                                        stats)
                 t_stop = t_a + sigma
             else:
                 t_stop = t_a + h

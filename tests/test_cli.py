@@ -261,20 +261,61 @@ class TestMeasure:
         rc = main(["measure", str(tmp_path / "nope.csv")])
         assert rc == 1
 
+    def test_symbol_space_beyond_int64_is_refused(self, trace_dir, tmp_path, capsys):
+        # 3e6 bins per world channel make 2.7e19 world symbols, which int64
+        # would wrap into wrong measures
+        paths = _copy_traces(trace_dir, tmp_path, names=("musfib",))
+        kept = _snapshot(tmp_path)
+        rc = main(["measure", *paths, "--bins", "3000000", "--state-series",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "hopmc: error: the symbol space of bases (3000000, 3000000, 3000000) "
+            "overflows int64; use fewer bins"]
+        assert _snapshot(tmp_path) == kept
+
+
+def _edited(change):
+    """A sidecar damage: parse the text, apply ``change``, dump it again."""
+    def damage(text):
+        sidecar = json.loads(text)
+        change(sidecar)
+        return json.dumps(sidecar)
+    return damage
+
 
 class TestMalformedSidecar:
     @pytest.mark.parametrize("verb", ["measure", "report"])
     @pytest.mark.parametrize("damage, named", [
-        (lambda sidecar: sidecar.pop("sensor_names"), "sidecar lacks the key 'sensor_names'"),
-        (lambda sidecar: sidecar["events"][0].update(spin=1.0),
+        (_edited(lambda sidecar: sidecar.pop("sensor_names")),
+         "sidecar lacks the key 'sensor_names'"),
+        (_edited(lambda sidecar: sidecar["events"][0].update(spin=1.0)),
          "event has the unknown key 'spin'"),
-    ], ids=["no-sensor-names", "event-extra-key"])
+        (_edited(lambda sidecar: sidecar.update(sensor_names=5)),
+         "sidecar key 'sensor_names' is not a list of strings"),
+        (_edited(lambda sidecar: sidecar.update(sensor_names=[1])),
+         "sidecar key 'sensor_names' is not a list of strings"),
+        (_edited(lambda sidecar: sidecar.update(events=5)), "sidecar key 'events' is not a list"),
+        (_edited(lambda sidecar: sidecar.update(model=5)), "sidecar key 'model' is not a string"),
+        (_edited(lambda sidecar: sidecar.update(action_kind=None)),
+         "sidecar key 'action_kind' is not a string"),
+        (_edited(lambda sidecar: sidecar.update(meta=[])), "sidecar key 'meta' is not an object"),
+        (_edited(lambda sidecar: sidecar["events"][0].update(kind=1)),
+         "event key 'kind' is not a string"),
+        (_edited(lambda sidecar: sidecar["events"][0].update(t="0.1")),
+         "event key 't' is not a number"),
+        (_edited(lambda sidecar: sidecar["events"][0].update(yd=True)),
+         "event key 'yd' is not a number"),
+        (lambda text: "{", "not valid JSON: Expecting property name enclosed in double "
+                           "quotes: line 1 column 2 (char 1)"),
+    ], ids=["no-sensor-names", "event-extra-key", "sensor-names-int", "sensor-names-ints",
+            "events-int", "model-int", "action-kind-null", "meta-list", "event-kind-int",
+            "event-t-string", "event-yd-bool", "not-json"])
     def test_is_a_usage_error(self, trace_dir, tmp_path, capsys, verb, damage, named):
         paths = _copy_traces(trace_dir, tmp_path)
         side = tmp_path / "trace_musfib.meta.json"
-        sidecar = json.loads(side.read_text())
-        damage(sidecar)
-        side.write_text(json.dumps(sidecar), encoding="utf-8")
+        side.write_text(damage(side.read_text()), encoding="utf-8")
         kept = _snapshot(tmp_path)
         argv = ["measure", *paths, "--state-series"] if verb == "measure" else ["report"]
         rc = main([*argv, "--out", str(tmp_path)])
@@ -429,6 +470,20 @@ class TestReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert "trace_muslin.csv" in err and "has stepper = 'rk45'" in err
+        assert _snapshot(tmp_path) == kept
+
+    def test_cached_trace_of_older_version_is_rejected(self, trace_dir, tmp_path, capsys):
+        # a sidecar from before contact events were located by Newton's method
+        _copy_traces(trace_dir, tmp_path)
+        side = tmp_path / "trace_musfib.meta.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["meta"]["version"] = "0.1.0"
+        side.write_text(json.dumps(sidecar), encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        rc = main(["report", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trace_musfib.csv has version = '0.1.0' but this report needs '0.2.0'" in err
         assert _snapshot(tmp_path) == kept
 
     @pytest.mark.parametrize("argv, reason", [

@@ -63,20 +63,20 @@ SYMBOLS_SHA256 = {
     'dcmot': '103b1b57363d4cddd010ff87284be5dedd8085bc7c8553e38b6130d91b81d2b5',
 }
 EVENTS = {
-    'musfib': (32, 7.9461259788934147),
-    'muslin': (33, 7.9009192527948393),
-    'dcmot': (32, 7.8967607589037581),
+    'musfib': (32, 7.9461259782370481),
+    'muslin': (33, 7.9009192546684641),
+    'dcmot': (32, 7.8967607596773499),
 }
 
 SAMPLES_SHA256 = {
-    'musfib': '86fe5e926626f6636e547b7846ddde816e76a85e2457ee5c51d320059560be84',
-    'muslin': '2cc6f5233bc28ae3dccd2127c03494c880fc88caf17e49158a71cdc58e1fc45b',
-    'dcmot': '60f04d502e9248829b73958b0da50399f73983231be7d76c3a9fd62f3a0ec7c0',
+    'musfib': '69679143869d109aec1986a027df168d2480c691b5e54e4f5d4303fc1ff983cd',
+    'muslin': 'bcf3838fd03d425dbfcf7ab61c1deada187679ddb68c9ce44ee71636ca010638',
+    'dcmot': '6a37c132884c3012ee4928a0343a5aa8ee4c5b54f75a386c9d154e9d0835b6ee',
 }
 EVENTS_SHA256 = {
-    'musfib': '5ea99fe0754d65ddda36358464008546e53929d29d58d397880ee52c9e62501b',
-    'muslin': '0011e700957af7d321791f526dd89ff6c8a52b1d8dfae7f0a70d91107898954a',
-    'dcmot': '911fff131900114a76d62da8a4b3292572f208dd1cf097fc94c9091a9330ffb8',
+    'musfib': '68b741065b15d0106dab7f44340eada96b6b22909bcdb27dc59605cb5fd591c7',
+    'muslin': '030eb216e02c03fafd582317a44562e7947df22b22f8047cf6347647bc1ecb35',
+    'dcmot': 'e5671781cbbefa59216bfb204a9063eab9bec563573a4c46390bfd5e4175e668',
 }
 
 

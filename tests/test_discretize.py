@@ -129,6 +129,17 @@ class TestCombineSymbols:
         with pytest.raises(ValueError, match="out of range"):
             combine_symbols([np.array([300])], (300,))
 
+    def test_symbol_space_beyond_int64_is_refused(self):
+        # (0, 0, b - 1) would pack to 2.7e19 and wrap around int64
+        b = 3_000_000
+        with pytest.raises(ValueError, match=r"bases \(3000000, 3000000, 3000000\)"):
+            combine_symbols([np.array([0]), np.array([0]), np.array([b - 1])], (b, b, b))
+
+    def test_largest_cube_that_fits_still_packs(self):
+        b = 2_097_151       # 2**21 - 1, so b**3 < 2**63
+        out = combine_symbols([np.array([b - 1])] * 3, (b, b, b))
+        assert out[0] == b ** 3 - 1
+
     @given(st.lists(st.tuples(st.integers(0, 299), st.integers(0, 11),
                               st.integers(0, 6)), min_size=1, max_size=40))
     def test_round_trip(self, tuples):

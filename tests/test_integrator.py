@@ -153,11 +153,22 @@ class TestSolverAccuracy:
     def test_muscle_converges_across_tolerances(self, name):
         """The muscle path's error floor: 2 s at 1e-10 and at the default
         1e-12 agree in y to 2e-8 m (the delay line with closed-form late
-        flight gives 1.4e-9 m for musfib and 2.0e-10 m for muslin; the
-        Hermite history the delay line replaced gave 2.7e-7 m for musfib)."""
+        flight and Newton-located events gives 1.6e-9 m for musfib and
+        1.6e-10 m for muslin; the Hermite history the delay line replaced
+        gave 2.7e-7 m for musfib)."""
         y = [integrate(make_model(name), IntegratorConfig(t_end=2.0, tol=tol)).y
              for tol in (1e-10, 1e-12)]
         assert np.abs(y[0] - y[1]).max() <= 2e-8
+
+    @pytest.mark.parametrize("name", ["musfib", "muslin"])
+    def test_muscle_error_floor_follows_tolerance(self, name):
+        """The events add no floor of their own: 2 s at the default 1e-12
+        and at 1e-14 agree in y to 5e-11 m (9.1e-12 m for musfib and
+        1.3e-12 m for muslin; events bisected to 1e-10 m gave 2.4e-10 and
+        4.3e-10 m)."""
+        y = [integrate(make_model(name), IntegratorConfig(t_end=2.0, tol=tol)).y
+             for tol in (1e-12, 1e-14)]
+        assert np.abs(y[0] - y[1]).max() <= 5e-11
 
     def test_sample_grid(self):
         trace = integrate(_DecayModel(), IntegratorConfig(t_end=0.25))
@@ -383,10 +394,26 @@ class TestModelProxy:
 class TestTraceInvariants:
     @pytest.mark.parametrize("name", ["musfib", "muslin", "dcmot"])
     def test_event_localization(self, pipeline, name):
+        # every event, stepped or closed-form, is a root to rounding
         trace = pipeline.traces[name]
         assert len(trace.events) >= 20
         for ev in trace.events:
-            assert abs(ev.y - 1.0) < 1e-9
+            assert abs(ev.y - 1.0) < 1e-14
+
+    def test_stepped_touchdown_localization(self):
+        """Without ``flight_flow`` Dormand-Prince steps the whole flight, so
+        each touchdown is a downward crossing of the dense output; the root
+        finder places it to rounding (a bisection to 1e-10 m left 7.3e-11 m)."""
+        class SteppedFlight(MusFibModel):
+            flight_flow = None
+
+        trace = integrate(SteppedFlight(), IntegratorConfig(t_end=2.0))
+        assert trace.meta["stepper"] == "dp45"
+        kinds = [ev.kind for ev in trace.events]
+        assert len(kinds) == 8 and kinds.count("touchdown") == 4
+        for ev in trace.events:
+            assert abs(ev.y - 1.0) < 1e-14
+        assert len(kinds) <= trace.meta["newton_iterations"] <= 5 * len(kinds)
 
     @pytest.mark.parametrize("name", ["musfib", "muslin", "dcmot"])
     def test_flight_energy_conserved(self, pipeline, name):
