@@ -83,12 +83,16 @@ class BinningSpec:
 def normalize_action(trace: Trace) -> np.ndarray:
     """The trace's actions on the unit interval: muscle stimulations as they
     are, motor voltages mapped affinely from [-volt_max, volt_max] with the
-    ``volt_max`` its parameters record."""
+    ``volt_max`` its parameters record, which must be a finite positive number."""
     action = np.asarray(trace.action, dtype=float)
     if trace.action_kind == "muscle":
         return action
     if trace.action_kind == "motor":
-        volt_max = trace.meta["params"]["volt_max"]
+        params = trace.meta.get("params")
+        volt_max = params.get("volt_max") if isinstance(params, dict) else None
+        if type(volt_max) not in (int, float) or not 0.0 < volt_max < np.inf:
+            raise ValueError(f"{trace.model}: params.volt_max must be a finite positive "
+                             f"number, not {volt_max!r}")
         return (action + volt_max) / (2.0 * volt_max)
     raise ValueError(f"unknown action kind {trace.action_kind!r}")
 

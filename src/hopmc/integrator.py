@@ -91,13 +91,12 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings of the muscles' Dormand-Prince stepper (``tol``, the
-    absolute and relative tolerance, and ``max_step``) and the run length
-    of every model."""
+    """Every model's run length and the muscles' Dormand-Prince tolerance
+    (absolute and relative): by default 1e-10, which keeps each binned channel
+    of a 32 s run within 1e-3 of a 400-bin width of a converged run."""
 
-    tol: float = positive(1e-12)
+    tol: float = positive(1e-10)
     t_end: float = positive(8.0)
-    max_step: float = positive(0.01)
 
     def __post_init__(self) -> None:
         _check(self)
@@ -212,7 +211,10 @@ def load_trace(path: str | Path) -> Trace:
     _require(side, "sidecar", sidecar, _SIDECAR)
     for event in sidecar["events"]:
         _require(side, "event", event, _EVENT)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     n_sensors = len(sidecar["sensor_names"])
     if data.shape[1] != 6 + n_sensors:
         raise ValueError(f"{path}: expected {6 + n_sensors} columns, found {data.shape[1]}")
@@ -375,8 +377,7 @@ def provenance(model: HoppingModel, cfg: IntegratorConfig) -> dict:
     equal."""
     record = {"t_end": cfg.t_end, "params": model.params_dict(), "version": __version__}
     if model.stance_system() is None:
-        stepper = "dp45" if model.flight_flow is None else "dp45+flight"
-        record.update(stepper=stepper, tol=cfg.tol, max_step=cfg.max_step)
+        record.update(stepper="dp45" if model.flight_flow is None else "dp45+flight", tol=cfg.tol)
     else:
         record["stepper"] = "exact-stance"
     if model.reference is not None:
@@ -455,7 +456,7 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
             f"sampling incomplete: {rec.next_idx}/{rec.n} samples ({model.name})")
 
     transient = min(2.0, 0.25 * cfg.t_end)
-    trace = Trace(
+    return Trace(
         model=model.name,
         action_kind=model.action_kind,
         sensor_names=model.sensor_names,
@@ -470,7 +471,6 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
             **(dp45.counts if system is None else stance_counts),
         },
     )
-    return trace
 
 
 # Dormand-Prince 4(5) (Dormand & Prince 1980) with Shampine's quartic dense
@@ -573,7 +573,7 @@ def _dense_output(t_old: float, h: float, y, stages):
 
 
 def _initial_step(rhs, ctx: StepContext, t: float, y, f, t_bound: float,
-                  max_step: float, atol: float, rtol: float) -> float:
+                  atol: float, rtol: float) -> float:
     """First step size from the local scale of y, y' and y'' (Hairer,
     Norsett & Wanner, Solving ODEs I, II.4; scipy's select_initial_step)."""
     interval = t_bound - t
@@ -588,7 +588,7 @@ def _initial_step(rhs, ctx: StepContext, t: float, y, f, t_bound: float,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval, max_step)
+    return min(100 * h0, h1, interval)
 
 
 class _DP45:
@@ -609,10 +609,8 @@ class _DP45:
     def __init__(self, model: HoppingModel, cfg: IntegratorConfig, line: _DelayLine):
         self.model, self.line = model, line
         self.rhs, self.l0 = model.derivative, model.common.rest_length
-        self.max_step = cfg.max_step
-        if model.history_delay > 0.0:
-            # step stages must only read the delay line over completed steps
-            self.max_step = min(self.max_step, 0.9 * model.history_delay)
+        # step stages must only read the delay line over completed steps
+        self.max_step = 0.9 * model.history_delay or math.inf
         self.atol, self.rtol = cfg.tol, max(cfg.tol, 100 * math.ulp(1.0))
         self.prev_h: float | None = None
         self.counts = {"rhs_calls": 0, "accepted_steps": 0, "rejected_steps": 0,
@@ -641,7 +639,7 @@ class _DP45:
         if not all(map(math.isfinite, f)):     # else no step-size test ever holds
             raise IntegrationError(f"non-finite derivative at t = {t:.9f} s ({model.name})")
         if self.prev_h is None:
-            h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, max_step, atol, rtol)
+            h_abs = _initial_step(rhs, ctx, t, x, f, t_stop, atol, rtol)
             rhs_calls += 1
         else:
             h_abs = min(max(self.prev_h, 1e-14), t_stop - t)
@@ -957,9 +955,7 @@ def _flight(model: HoppingModel, rec: _Recorder, t: float, x,
     t_td = t + _fall_time(x[0] - l0, x[1], gravity)
     rec.record_span(lambda tt: _ballistic(x, tt - t, gravity, flow), t, min(t_td, t_end),
                     _FLIGHT)
-    if t_td > t_end:
-        return None
-    return t_td, _ballistic(x, t_td - t, gravity, flow)
+    return None if t_td > t_end else (t_td, _ballistic(x, t_td - t, gravity, flow))
 
 
 def contact_segments(contact: np.ndarray) -> list[tuple[int, int, bool]]:

@@ -44,7 +44,8 @@ class TestSimulate:
         assert lines[0] == "t,y,yd,ydd,s1,a,contact"
         meta = json.loads((tmp_path / "trace_musfib.meta.json").read_text())
         assert meta["model"] == "musfib"
-        assert meta["meta"]["tol"] == 1e-12
+        assert meta["meta"]["tol"] == 1e-10
+        assert "max_step" not in meta["meta"]
         assert meta["meta"]["version"] == hopmc.__version__
 
     def test_config_override(self, tmp_path):
@@ -324,6 +325,46 @@ class TestMalformedSidecar:
         assert _snapshot(tmp_path) == kept
 
 
+    @pytest.mark.parametrize("verb", ["measure", "report"])
+    def test_unparsable_csv_is_named(self, trace_dir, tmp_path, capsys, verb):
+        paths = _copy_traces(trace_dir, tmp_path)
+        csv = tmp_path / "trace_musfib.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        lines[3] = "a,b,c,d,e,f,g"
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        argv = ["measure", *paths, "--state-series"] if verb == "measure" else ["report"]
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"hopmc: error: {csv}: could not convert string 'a'")
+        assert _snapshot(tmp_path) == kept
+
+
+class TestMalformedMotorSidecar:
+    """dcmot actions are mapped with the ``volt_max`` its sidecar records;
+    ``measure`` refuses one that is not a finite positive number."""
+
+    @pytest.mark.parametrize("damage, shown", [
+        (lambda meta: meta.pop("params"), "None"),
+        (lambda meta: meta["params"].update(volt_max="x"), "'x'"),
+        (lambda meta: meta["params"].update(volt_max=0.0), "0.0"),
+        (lambda meta: meta["params"].update(volt_max=-1.0), "-1.0"),
+        (lambda meta: meta["params"].update(volt_max=float("nan")), "nan"),
+    ], ids=["no-params", "string", "zero", "negative", "nan"])
+    def test_volt_max_is_a_usage_error(self, trace_dir, tmp_path, capsys, damage, shown):
+        paths = _copy_traces(trace_dir, tmp_path)
+        side = tmp_path / "trace_dcmot.meta.json"
+        side.write_text(_edited(lambda sidecar: damage(sidecar["meta"]))(side.read_text()),
+                        encoding="utf-8")
+        kept = _snapshot(tmp_path)
+        rc = main(["measure", *paths, "--state-series", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hopmc: error: dcmot: params.volt_max must be a finite positive number, not {shown}"]
+        assert _snapshot(tmp_path) == kept
+
+
 class TestSweepBins:
     def test_sweep(self, trace_dir, tmp_path, capsys):
         paths = _copy_traces(trace_dir, tmp_path, names=("musfib", "muslin"))
@@ -431,13 +472,15 @@ class TestReport:
     def test_cached_trace_of_other_tolerance_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        cfg = IntegratorConfig(t_end=2, tol=1e-10)
+        # 1e-12 was the default before 1e-10, so a trace cached by earlier
+        # code is refused too
+        cfg = IntegratorConfig(t_end=2, tol=1e-12)
         integrate(make_model("musfib"), cfg).save(out / "trace_musfib.csv")
         kept = _snapshot(out)
         rc = main(["report", "--duration", "2", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "trace_musfib.csv" in err and "has tol = 1e-10" in err
+        assert "trace_musfib.csv" in err and "has tol = 1e-12" in err
         assert _snapshot(out) == kept
 
     def test_cached_trace_with_two_tolerance_keys_is_rejected(self, trace_dir, tmp_path,

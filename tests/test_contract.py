@@ -63,20 +63,20 @@ SYMBOLS_SHA256 = {
     'dcmot': '103b1b57363d4cddd010ff87284be5dedd8085bc7c8553e38b6130d91b81d2b5',
 }
 EVENTS = {
-    'musfib': (32, 7.9461259782370481),
-    'muslin': (33, 7.9009192546684641),
-    'dcmot': (32, 7.8967607596773499),
+    'musfib': (32, 7.9461259813897938),
+    'muslin': (33, 7.9009192531092749),
+    'dcmot': (32, 7.8967607557868957),
 }
 
 SAMPLES_SHA256 = {
-    'musfib': '69679143869d109aec1986a027df168d2480c691b5e54e4f5d4303fc1ff983cd',
-    'muslin': 'bcf3838fd03d425dbfcf7ab61c1deada187679ddb68c9ce44ee71636ca010638',
-    'dcmot': '6a37c132884c3012ee4928a0343a5aa8ee4c5b54f75a386c9d154e9d0835b6ee',
+    'musfib': '1cb237579c81de2feffa029ad7c0288007367161f7b9c88c15282b4d4ef5d285',
+    'muslin': '4795ea2d84f8772d23e6d6c5afaa870a18571b0d49f8b25a6902fdb90905abe8',
+    'dcmot': '8aa89d1844629552ef91bee76cf14fe77ca278a058976501f116c6828dff2d96',
 }
 EVENTS_SHA256 = {
-    'musfib': '68b741065b15d0106dab7f44340eada96b6b22909bcdb27dc59605cb5fd591c7',
-    'muslin': '030eb216e02c03fafd582317a44562e7947df22b22f8047cf6347647bc1ecb35',
-    'dcmot': 'e5671781cbbefa59216bfb204a9063eab9bec563573a4c46390bfd5e4175e668',
+    'musfib': 'ef563b9fc6c8921bc3a8cb4bf253eb838cfe344b57206018ce7d13dc60c51037',
+    'muslin': 'a5d055acb5c50d504fa2c422cc28adecd2d2de39984b963a439f0536fcce0235',
+    'dcmot': '520b8f157092a224c82e2f42af931ac3c95d70a11607a37751d3647a1244e69c',
 }
 
 

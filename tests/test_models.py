@@ -253,8 +253,7 @@ VALIDATED = (HopperCommon, MusFibParams, MusLinParams, DCMotParams, IntegratorCo
 POSITIVE = {"mass", "gravity", "rest_length", "f_max", "l_opt", "fl_width", "fl_steepness",
             "fv_curvature", "fv_plateau", "act_tau", "reflex_delay", "fv_slope",
             "torque_const", "gear_ratio", "resistance", "inductance", "volt_max",
-            "nominal_torque", "f_max_ref", "tol", "t_end",
-            "max_step"}
+            "nominal_torque", "f_max_ref", "tol", "t_end"}
 NEGATIVE = {"v_max"}
 FINITE = {"kp", "kd", "reflex_gain", "stim_base", "stim_min", "stim_max"}
 FIELDS = [(cls, f.name) for cls in VALIDATED for f in fields(cls)]
@@ -297,7 +296,7 @@ class TestParamValidation:
     def test_magnitudes_are_not_bounded(self):
         DCMotParams(kp=1e200, kd=-1e200, inductance=1e-300)
         MusFibParams(reflex_gain=-1e300, stim_base=-5.0, stim_min=-1e300, stim_max=1e300)
-        IntegratorConfig(tol=1e-300, t_end=1e-300, max_step=1e300)
+        IntegratorConfig(tol=1e-300, t_end=1e-300)
 
     def test_cross_field_rules_after_signs(self):
         with pytest.raises(ValueError, match="^stim_min = 0.5, stim_max = 0.25"):
