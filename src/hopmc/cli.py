@@ -6,8 +6,8 @@ Verbs:
 * ``measure``    -- discretize one or more traces on shared domains and
   print the aggregate measures; optionally write state-dependent series.
 * ``sweep-bins`` -- recompute the measures over a list of bin counts.
-* ``report``     -- end-to-end: simulate all models (cached), measure,
-  write state series and a JSON summary.
+* ``report``     -- end-to-end: simulate all models, measure, write state
+  series and a JSON summary.
 
 The motor model (``dcmot``) tracks the last complete stance of a musfib
 trace: ``simulate`` takes it from ``--reference``, else from the
@@ -18,10 +18,10 @@ read back from there.
 
 Each trace sidecar holds the trace's provenance record (run length,
 parameters, integration path and settings, package version and, for
-``dcmot``, the digest of its stance).  ``report`` reuses a trace in ``--out``
-only if that record equals the one of the run it would make.  Both
-``simulate`` and ``report`` make every trace in memory first, so a refusal
-or a numerical failure writes no file.
+``dcmot``, the digest of its stance).  ``report`` simulates every model and
+overwrites the traces in ``--out``; ``measure`` and ``sweep-bins``
+re-measure stored traces.  Both ``simulate`` and ``report`` make every trace
+in memory first, so a refusal or a numerical failure writes no file.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  All outputs are
 deterministic; rerunning a command reproduces files byte for byte.
@@ -47,7 +47,6 @@ from .integrator import (
     Trace,
     extract_stance_reference,
     load_trace,
-    provenance,
 )
 from .measures import (
     MeasureResult,
@@ -264,58 +263,23 @@ def _scope_overrides(overrides: dict[str, float]) -> dict[str, dict[str, float]]
     return {m: {k: v for k, v in overrides.items() if k in names[m]} for m in MODEL_NAMES}
 
 
-def _flat(record: dict) -> dict:
-    """``record`` with each dict value spread into ``key.subkey`` entries."""
-    out = {}
-    for key, value in record.items():
-        if isinstance(value, dict):
-            out.update((f"{key}.{k}", v) for k, v in value.items())
-        else:
-            out[key] = value
-    return out
-
-
-def _refuse_stale(path: Path, record: dict, meta: dict) -> None:
-    """Fail naming ``path`` and the first key of the provenance ``record``
-    whose value in the cached trace's ``meta`` differs."""
-    want, have = _flat(record), _flat({k: meta.get(k) for k in record})
-    stale = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
-    if stale:
-        key = stale[0]
-        raise ValueError(f"cached {path} has {key} = {have.get(key)!r} but this report "
-                         f"needs {want.get(key)!r}; remove the file or rerun with the "
-                         f"options that made it")
-
-
 def cmd_report(args) -> int:
     overrides = _scope_overrides(load_config(args.config) if args.config else {})
     cfg = IntegratorConfig(t_end=args.duration)
     # every trace and the measures are made in memory before the first write
-    traces, fresh, reference = {}, [], None
+    traces, reference = {}, None
     for name in MODEL_NAMES:
         if name == "dcmot":     # MODEL_NAMES lists musfib first, whose stance it tracks
             reference = extract_stance_reference(traces["musfib"])
-        model = make_model(name, overrides[name], reference)
-        path = _trace_path(args.out, name)
-        if path.exists():
-            traces[name] = load_trace(path)
-            _refuse_stale(path, provenance(model, cfg), traces[name].meta)
-        else:
-            traces[name] = integrator.integrate(model, cfg)
-            fresh.append(name)
+        traces[name] = integrator.integrate(make_model(name, overrides[name], reference), cfg)
     spec, discrete, results = _measure(list(traces.values()), args.bins)
 
     args.out.mkdir(parents=True, exist_ok=True)
     for name, trace in traces.items():
-        path = _trace_path(args.out, name)
-        if name not in fresh:
-            print(f"using cached {path}")
-            continue
-        trace.save(path)
+        path = trace.save(_trace_path(args.out, name))
         print(f"wrote {path} (max height after transient: "
               f"{trace.meta['max_height_post_transient']:.4f} m)")
-    if "dcmot" in fresh:
-        _write_reference(args.out, reference)
+    _write_reference(args.out, reference)
     _print_table(results, args.bins)
     spec.save(args.out / "binning_spec.txt")
     if args.state_series:

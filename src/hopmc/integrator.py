@@ -19,7 +19,7 @@ model exposes and never from its type:
   ``flight_flow`` once the flight reads no delayed force: from one
   ``history_delay`` after liftoff (at once for the motor, whose delay is
   zero), or from t = 0 in a run that starts in flight.  y is a parabola, the
-  auxiliary state moves by ``flight_flow`` (the motor's current is held, a
+  auxiliary state moves by ``flight_flow`` (the motor's current is zero, a
   muscle's activation relaxes exponentially to the constant stimulation),
   and touchdown is the parabola's root.  The delay line gets one zero-force
   span for it (the method of steps; Bellen & Zennaro 2003);
@@ -38,10 +38,10 @@ model exposes and never from its type:
   next segment starts with a fresh first stage.
 
 One phase switch serves every model: at each event it takes the
-acceleration on both sides with ``observe``, applies ``on_liftoff``, starts
-the new phase's context (touchdown time, and the time from which a flight
-reads no delayed force), queues the three echoes for a model with a
-``history_delay`` and records the :class:`TraceEvent`.
+acceleration on both sides with ``observe``, starts the new phase's context
+(touchdown time, and the time from which a flight reads no delayed force),
+queues the three echoes for a model with a ``history_delay`` and records the
+:class:`TraceEvent`.
 
 Output samples on the uniform 1 kHz grid come from each propagator's
 solution or dense output, never from restarting the integration.  Each
@@ -373,8 +373,7 @@ def provenance(model: HoppingModel, cfg: IntegratorConfig) -> dict:
     """Everything a trace of ``model`` under ``cfg`` depends on: the path
     (``stepper``) and the settings it uses, ``t_end``, the parameters, the
     package version and, for a model that tracks a stance, that reference's
-    digest.  A stored trace can stand in for a new run only if its record is
-    equal."""
+    digest.  Each trace's sidecar keeps it, to say how the trace was made."""
     record = {"t_end": cfg.t_end, "params": model.params_dict(), "version": __version__}
     if model.stance_system() is None:
         record.update(stepper="dp45" if model.flight_flow is None else "dp45+flight", tol=cfg.tol)
@@ -437,7 +436,6 @@ def integrate(model: HoppingModel, cfg: IntegratorConfig | None = None) -> Trace
         if contact:
             t_td = t_ev
         else:
-            x_ev = model.on_liftoff(x_ev)
             t_td = math.nan
             t_calm = t_ev + delay
         ctx = StepContext(contact, t_td, line.at)

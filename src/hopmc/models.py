@@ -400,10 +400,6 @@ class HoppingModel:
     def initial_state(self) -> np.ndarray:
         raise NotImplementedError
 
-    def on_liftoff(self, x: Sequence[float]) -> Sequence[float]:
-        """State adjustment applied at the stance->flight transition."""
-        return x
-
     # dynamics -------------------------------------------------------------
     def derivative(self, t: float, x: Sequence[float],
                    ctx: StepContext) -> tuple[float, float, float]:
@@ -540,8 +536,8 @@ class DCMotModel(HoppingModel):
 
     The reference clock restarts at each touchdown.  In flight the armature
     voltage is zero and the winding current is held at zero (reset at
-    liftoff), so the leg force vanishes exactly as required by the contact
-    branch structure.
+    liftoff, by ``flight_flow``), so the leg force vanishes exactly as
+    required by the contact branch structure.
     """
 
     name = "dcmot"
@@ -559,9 +555,6 @@ class DCMotModel(HoppingModel):
 
     def initial_state(self) -> np.ndarray:
         return np.array([1.070, 0.0, 0.0])
-
-    def on_liftoff(self, x: Sequence[float]) -> tuple[float, float, float]:
-        return (x[0], x[1], 0.0)
 
     def control(self, t: float, x: Sequence[float], ctx: StepContext) -> float:
         if not ctx.contact:
@@ -592,8 +585,8 @@ class DCMotModel(HoppingModel):
         return self._acceleration(t, x, ctx), self.sensors(t, x, ctx), self.control(t, x, ctx)
 
     def flight_flow(self, current: float, tau: float) -> float:
-        """The winding current, held through flight."""
-        return current
+        """The winding current in flight: reset at liftoff and held at zero."""
+        return 0.0
 
     def stance_system(self) -> LinearStance:
         """The stance as x' = A x + drift + b r(s), with the PD voltage

@@ -1,7 +1,9 @@
 """Shared fixtures.
 
-The full three-model pipeline is expensive (~25 s), so it is built once per
-session and shared by the acceptance tests and the trace-level unit tests.
+The full three-model pipeline is built once per session at two run lengths:
+8 s, shared by the acceptance tests and the trace-level unit tests, and 32 s
+(the longest run the benchmark makes), shared by the contract and the
+tolerance budget test.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ class Pipeline:
     mc_mi_series: dict[str, np.ndarray]
 
 
-@pytest.fixture(scope="session")
-def pipeline() -> Pipeline:
-    cfg = IntegratorConfig(t_end=8.0)
+def _pipeline(t_end: float) -> Pipeline:
+    cfg = IntegratorConfig(t_end=t_end)
     traces = {name: integrate(make_model(name), cfg) for name in ("musfib", "muslin")}
     reference = extract_stance_reference(traces["musfib"])
     traces["dcmot"] = integrate(DCMotModel(reference), cfg)
@@ -57,6 +58,16 @@ def pipeline() -> Pipeline:
         mc_w_series={n: mc_w_state(d) for n, d in discrete.items()},
         mc_mi_series={n: mc_mi_state(d) for n, d in discrete.items()},
     )
+
+
+@pytest.fixture(scope="session")
+def pipeline() -> Pipeline:
+    return _pipeline(8.0)
+
+
+@pytest.fixture(scope="session")
+def long_pipeline() -> Pipeline:
+    return _pipeline(32.0)
 
 
 @pytest.fixture(scope="session")

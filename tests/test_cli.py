@@ -14,8 +14,8 @@ import pytest
 
 import hopmc
 from hopmc.cli import _build_parser, main
-from hopmc.integrator import IntegratorConfig, extract_stance_reference, integrate, load_trace
-from hopmc.models import DCMotParams, make_model, write_csv
+from hopmc.integrator import IntegratorConfig, extract_stance_reference, load_trace, provenance
+from hopmc.models import MODEL_NAMES, DCMotParams, ReferenceTrajectory, make_model, write_csv
 
 
 def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
@@ -287,7 +287,7 @@ def _edited(change):
 
 
 class TestMalformedSidecar:
-    @pytest.mark.parametrize("verb", ["measure", "report"])
+    @pytest.mark.parametrize("verb", ["measure", "sweep-bins"])
     @pytest.mark.parametrize("damage, named", [
         (_edited(lambda sidecar: sidecar.pop("sensor_names")),
          "sidecar lacks the key 'sensor_names'"),
@@ -318,14 +318,15 @@ class TestMalformedSidecar:
         side = tmp_path / "trace_musfib.meta.json"
         side.write_text(damage(side.read_text()), encoding="utf-8")
         kept = _snapshot(tmp_path)
-        argv = ["measure", *paths, "--state-series"] if verb == "measure" else ["report"]
+        argv = (["measure", *paths, "--state-series"] if verb == "measure"
+                else ["sweep-bins", *paths, "--bins", "50,100"])
         rc = main([*argv, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"hopmc: error: {side}: {named}"]
         assert _snapshot(tmp_path) == kept
 
 
-    @pytest.mark.parametrize("verb", ["measure", "report"])
+    @pytest.mark.parametrize("verb", ["measure", "sweep-bins"])
     def test_unparsable_csv_is_named(self, trace_dir, tmp_path, capsys, verb):
         paths = _copy_traces(trace_dir, tmp_path)
         csv = tmp_path / "trace_musfib.csv"
@@ -333,7 +334,8 @@ class TestMalformedSidecar:
         lines[3] = "a,b,c,d,e,f,g"
         csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         kept = _snapshot(tmp_path)
-        argv = ["measure", *paths, "--state-series"] if verb == "measure" else ["report"]
+        argv = (["measure", *paths, "--state-series"] if verb == "measure"
+                else ["sweep-bins", *paths, "--bins", "50,100"])
         rc = main([*argv, "--out", str(tmp_path)])
         assert rc == 1
         [line] = capsys.readouterr().err.splitlines()
@@ -401,133 +403,40 @@ class TestSweepBins:
 
 
 class TestReport:
-    def test_report_with_cached_traces(self, trace_dir, tmp_path, capsys):
-        _copy_traces(trace_dir, tmp_path)
-        shutil.copy(trace_dir / "reference_stance.csv", tmp_path)
-        rc = main(["report", "--out", str(tmp_path), "--state-series"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("using cached") == 3
-        summary = json.loads((tmp_path / "measures.json").read_text())
-        assert summary["bins"] == 300
-        assert set(summary["models"]) == {"musfib", "muslin", "dcmot"}
-        for vals in summary["models"].values():
-            assert vals["mc_w"] > 0
-        assert (tmp_path / "binning_spec.txt").exists()
-        assert (tmp_path / "mc_state_dcmot.csv").exists()
-
-    def test_config_key_applies_to_models_that_define_it(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("f_max = 2600\n", encoding="utf-8")
+    def test_sidecars_hold_each_trace_provenance(self, tmp_path):
+        # each key of --config reaches the models that define it, and each
+        # sidecar records how its trace was made
+        cfg_file = tmp_path / "p.cfg"
+        cfg_file.write_text("f_max = 2600\n", encoding="utf-8")
         out = tmp_path / "out"
-        rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
-        assert rc == 0
+        assert main(["report", "--duration", "2", "--out", str(out),
+                     "--config", str(cfg_file)]) == 0
+        meta = {name: json.loads((out / f"trace_{name}.meta.json").read_text())["meta"]
+                for name in MODEL_NAMES}
+        reference = ReferenceTrajectory.from_csv(out / "reference_stance.csv")
+        cfg = IntegratorConfig(t_end=2.0)
+        for name in MODEL_NAMES:
+            overrides = None if name == "dcmot" else {"f_max": 2600.0}
+            record = provenance(make_model(name, overrides, reference), cfg)
+            assert {key: meta[name].get(key) for key in record} == record
+            assert meta[name]["t_end"] == 2.0 and meta[name]["version"] == hopmc.__version__
         for name in ("musfib", "muslin"):
-            assert load_trace(out / f"trace_{name}.csv").meta["params"]["f_max"] == 2600.0
-        assert "f_max" not in load_trace(out / "trace_dcmot.csv").meta["params"]
+            assert meta[name]["params"]["f_max"] == 2600.0
+            assert meta[name]["stepper"] == "dp45+flight" and meta[name]["tol"] == 1e-10
+        assert "f_max" not in meta["dcmot"]["params"] and "tol" not in meta["dcmot"]
+        assert meta["dcmot"]["stepper"] == "exact-stance"
+        side = json.loads((out / "reference_stance.meta.json").read_text())
+        assert meta["dcmot"]["reference_sha256"] == side["reference_sha256"]
 
-    def test_cached_trace_of_other_duration_is_rejected(self, tmp_path, capsys):
+    def test_trace_in_out_is_replaced(self, tmp_path):
+        # report simulates every model and overwrites what --out holds
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert main(["simulate", "--model", "musfib", "--duration", "1.5",
-                     "--out", str(tmp_path)]) == 0
-        before = sorted(tmp_path.iterdir())
-        rc = main(["report", "--duration", "3", "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_musfib.csv" in err and "t_end = 1.5" in err
-        assert sorted(tmp_path.iterdir()) == before
-
-    def test_cached_trace_of_other_config_is_rejected(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["simulate", "--model", "muslin", "--duration", "1",
                      "--out", str(out)]) == 0
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("f_max = 2600\n", encoding="utf-8")
-        before = sorted(out.iterdir())
-        rc = main(["report", "--duration", "1", "--out", str(out), "--config", str(cfg)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_muslin.csv" in err and "params.f_max" in err
-        assert sorted(out.iterdir()) == before
-
-    def test_cached_dcmot_of_other_musfib_stance_is_rejected(self, tmp_path, capsys):
-        out = tmp_path / "out"
         assert main(["report", "--duration", "2", "--out", str(out)]) == 0
-        sidecar = json.loads((out / "trace_dcmot.meta.json").read_text())
-        reference = json.loads((out / "reference_stance.meta.json").read_text())
-        assert sidecar["meta"]["reference_sha256"] == reference["reference_sha256"]
-        for name in ("musfib", "muslin"):
-            for suffix in (".csv", ".meta.json"):
-                (out / f"trace_{name}{suffix}").unlink()
-        kept = _snapshot(out)
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("f_max = 2600\n", encoding="utf-8")
-        capsys.readouterr()
-        rc = main(["report", "--duration", "2", "--out", str(out), "--config", str(cfg)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_dcmot.csv" in err and "reference_sha256" in err
-        # the refusal writes nothing: the deleted muscle traces stay absent
-        assert _snapshot(out) == kept
-
-    def test_cached_trace_of_other_tolerance_is_rejected(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        # 1e-12 was the default before 1e-10, so a trace cached by earlier
-        # code is refused too
-        cfg = IntegratorConfig(t_end=2, tol=1e-12)
-        integrate(make_model("musfib"), cfg).save(out / "trace_musfib.csv")
-        kept = _snapshot(out)
-        rc = main(["report", "--duration", "2", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_musfib.csv" in err and "has tol = 1e-12" in err
-        assert _snapshot(out) == kept
-
-    def test_cached_trace_with_two_tolerance_keys_is_rejected(self, trace_dir, tmp_path,
-                                                              capsys):
-        # a muscle sidecar from before the one tolerance has abs_tol and
-        # rel_tol but no tol
-        _copy_traces(trace_dir, tmp_path)
-        side = tmp_path / "trace_musfib.meta.json"
-        sidecar = json.loads(side.read_text())
-        tol = sidecar["meta"].pop("tol")
-        sidecar["meta"].update(abs_tol=tol, rel_tol=tol)
-        side.write_text(json.dumps(sidecar), encoding="utf-8")
-        kept = _snapshot(tmp_path)
-        rc = main(["report", "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_musfib.csv" in err and "has tol = None" in err
-        assert _snapshot(tmp_path) == kept
-
-    def test_cached_muscle_trace_of_other_stepper_is_rejected(self, trace_dir, tmp_path,
-                                                               capsys):
-        # a muscle sidecar from before the closed-form late flight
-        _copy_traces(trace_dir, tmp_path)
-        side = tmp_path / "trace_muslin.meta.json"
-        sidecar = json.loads(side.read_text())
-        sidecar["meta"]["stepper"] = "rk45"
-        side.write_text(json.dumps(sidecar), encoding="utf-8")
-        kept = _snapshot(tmp_path)
-        rc = main(["report", "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_muslin.csv" in err and "has stepper = 'rk45'" in err
-        assert _snapshot(tmp_path) == kept
-
-    def test_cached_trace_of_older_version_is_rejected(self, trace_dir, tmp_path, capsys):
-        # a sidecar from before contact events were located by Newton's method
-        _copy_traces(trace_dir, tmp_path)
-        side = tmp_path / "trace_musfib.meta.json"
-        sidecar = json.loads(side.read_text())
-        sidecar["meta"]["version"] = "0.1.0"
-        side.write_text(json.dumps(sidecar), encoding="utf-8")
-        kept = _snapshot(tmp_path)
-        rc = main(["report", "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "trace_musfib.csv has version = '0.1.0' but this report needs '0.2.0'" in err
-        assert _snapshot(tmp_path) == kept
+        assert load_trace(out / "trace_musfib.csv").meta["t_end"] == 2.0
+        assert main(["report", "--duration", "2", "--out", str(fresh)]) == 0
+        assert _snapshot(out) == _snapshot(fresh)
 
     @pytest.mark.parametrize("argv, reason", [
         (["--bins", "0"], "bin count must be >= 1"),
@@ -551,22 +460,6 @@ class TestReport:
         assert rc == 1
         assert f"unknown parameter(s) for every model: ['{key}']" in capsys.readouterr().err
         assert list(out.iterdir()) == []
-
-    # dcmot sidecars from when body_mass, then base_body_mass, was a parameter
-    @pytest.mark.parametrize("key, value", [("body_mass", 0.6784), ("base_body_mass", 80.0)])
-    def test_cached_dcmot_recording_body_mass_is_rejected(self, trace_dir, tmp_path,
-                                                          capsys, key, value):
-        _copy_traces(trace_dir, tmp_path)
-        side = tmp_path / "trace_dcmot.meta.json"
-        sidecar = json.loads(side.read_text())
-        sidecar["meta"]["params"][key] = value
-        side.write_text(json.dumps(sidecar), encoding="utf-8")
-        kept = _snapshot(tmp_path)
-        rc = main(["report", "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"trace_dcmot.csv has params.{key} = {value!r}" in err
-        assert _snapshot(tmp_path) == kept
 
     def test_shared_mass_at_its_default_changes_nothing(self, tmp_path):
         # the motor scales the shared mass, so naming its default is the default run
@@ -655,6 +548,21 @@ class TestBenchmarkHooks:
         assert calls["integrator.extract_stance_reference"] == 1
         assert calls["integrator.Trace.save"] == 3
         assert (out / "reference_stance.csv").exists()
+
+    def test_second_report_reads_back_nothing(self, tmp_path, monkeypatch):
+        # a report into an --out that already holds its traces simulates again
+        tracer = self._tracer(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["report", "--duration", "2", "--state-series", "--out", str(out)]
+        assert main(argv) == 0
+        first = _snapshot(out)
+        with tracer.installed():
+            rc = main(argv)
+        assert rc == 0
+        calls = Counter(span["name"] for span in tracer.spans)
+        assert calls["integrator.load_trace"] == 0
+        assert calls["integrator.integrate"] == 3
+        assert _snapshot(out) == first
 
 
 class TestImportBudget:

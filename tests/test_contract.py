@@ -1,12 +1,15 @@
-"""The "same behaviour" contract: the seed-0 8 s pipeline holds committed values.
+"""The "same behaviour" contract: the seed-0 pipeline holds committed values.
 
 The session ``pipeline`` (8 s runs, 300 bins, domains pooled over the three
 traces) must reproduce, for each model, the nine aggregate measures to
 1e-12 bits, the SHA-256 of its (w, s, a) symbol columns, its contact event
 count and last event time, and the SHA-256 of its samples and of its events:
 the traces themselves are held bit for bit, not only what binning keeps of
-them.  A change that moves the traces on purpose updates these values in the
-same change and lists old -> new; no other change touches them.
+them.  The session ``long_pipeline`` (32 s runs, the same binning) must
+reproduce each model's measures and symbol digest, so that a change that
+moves only long runs shows too.  A change that moves the traces on purpose
+updates these values in the same change and lists old -> new; no other
+change touches them.
 
 The values pin this host's numpy and BLAS: the dcmot path uses ``@`` and
 ``solve``, so another BLAS may move the last bits.  Each failure names the
@@ -79,6 +82,54 @@ EVENTS_SHA256 = {
     'dcmot': '520b8f157092a224c82e2f42af931ac3c95d70a11607a37751d3647a1244e69c',
 }
 
+# the 32 s runs of the long_pipeline fixture
+MEASURES_32S = {
+    'musfib': {
+        'mc_w': 7.011331923219616,
+        'mc_mi': 7.161442044020509,
+        'h_wnext': 10.261866470699399,
+        'h_wnext_given_w': 0.6672285181370716,
+        'h_a': 2.731600041389904,
+        'h_a_given_s': 0.29840413284808676,
+        'i_wnext_a_given_w': 0.04725318346112484,
+        'h_a_given_wnext': 0.10104082858606817,
+        'residual': -0.25115094938696164,
+    },
+    'muslin': {
+        'mc_w': 5.292038989583522,
+        'mc_mi': 5.400933089819922,
+        'h_wnext': 10.212010439858364,
+        'h_wnext_given_w': 0.7407476355660144,
+        'h_a': 4.4105529254744305,
+        'h_a_given_s': 0.34022321100200353,
+        'i_wnext_a_given_w': 0.062123196643870865,
+        'h_a_given_wnext': 0.16920591412173122,
+        'residual': -0.27810001435813203,
+    },
+    'dcmot': {
+        'mc_w': 5.48454577833054,
+        'mc_mi': 5.499936519466818,
+        'h_wnext': 10.243230125128584,
+        'h_wnext_given_w': 0.7682765988510404,
+        'h_a': 4.05516708863496,
+        'h_a_given_s': 0.08015008182423465,
+        'i_wnext_a_given_w': 0.02073133887152908,
+        'h_a_given_wnext': 0.04402800181642659,
+        'residual': -0.05941874295270429,
+    },
+}
+SYMBOLS_SHA256_32S = {
+    'musfib': '3bc4d329d502775fed2fa925b3a0ac61e1f7d15d50c76011563f74fa73bb49e9',
+    'muslin': 'c5343aa7f790c9fc83b7d54cd1dc5ea119ba031356ce3cf3c55c34d9c24a1bf3',
+    'dcmot': 'df8fb7272982a1c7348e31b5bb0a65ea9bd06914c3db066a7ff1676526befd9b',
+}
+
+
+def _moved_measures(result, committed: dict, label: str) -> list[str]:
+    return [f"{label}.{name}: {getattr(result, name)!r} != committed {want!r}"
+            for name, want in committed.items()
+            if not abs(getattr(result, name) - want) <= BITS_TOL]
+
 
 def _symbols_sha256(d) -> str:
     digest = hashlib.sha256()
@@ -110,10 +161,7 @@ def _events_sha256(trace) -> str:
 
 @pytest.mark.parametrize("model", MODELS)
 def test_measures_hold(pipeline, model):
-    result = pipeline.results[model]
-    moved = [f"{model}.{name}: {getattr(result, name)!r} != committed {want!r}"
-             for name, want in MEASURES[model].items()
-             if not abs(getattr(result, name) - want) <= BITS_TOL]
+    moved = _moved_measures(pipeline.results[model], MEASURES[model], model)
     assert not moved, "; ".join(moved)
 
 
@@ -141,3 +189,15 @@ def test_samples_hold(pipeline, model):
 def test_event_records_hold(pipeline, model):
     got = _events_sha256(pipeline.traces[model])
     assert got == EVENTS_SHA256[model], f"{model}.events records: sha256 {got}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_32s_measures_hold(long_pipeline, model):
+    moved = _moved_measures(long_pipeline.results[model], MEASURES_32S[model], f"{model} 32 s")
+    assert not moved, "; ".join(moved)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_32s_symbols_hold(long_pipeline, model):
+    got = _symbols_sha256(long_pipeline.discrete[model])
+    assert got == SYMBOLS_SHA256_32S[model], f"{model} 32 s symbols (w, s, a): sha256 {got}"

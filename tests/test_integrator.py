@@ -170,24 +170,34 @@ class TestSolverAccuracy:
         assert np.abs(y[0] - y[1]).max() <= 5e-11
 
     @pytest.mark.parametrize("name", ["musfib", "muslin"])
-    def test_default_tolerance_meets_bin_width_budget(self, name):
+    def test_default_tolerance_meets_bin_width_budget(self, long_pipeline, name):
         """The error budget the default tol is chosen by: over 32 s, the longest
         run the bench makes, no binned channel of the default run is further
         than 1e-3 of a 400-bin width from the 1e-12 run, with domains pooled
         over the two.  Against 1e-14 the default (1e-10) reads 2.2e-4 for
-        musfib and 7.8e-5 for muslin, and 1e-12 itself 6e-6 and 1.4e-7."""
-        runs = [integrate(make_model(name), IntegratorConfig(t_end=32.0, tol=tol))
-                for tol in (IntegratorConfig.tol, 1e-12)]
+        musfib and 7.8e-5 for muslin, and 1e-12 itself 6e-6 and 1.4e-7.
+
+        That largest error reads one sample.  The whole run reads in the
+        expected symbol flips: a sample off by d widths lands in another bin
+        than the converged run's with probability d (its place in its bin is
+        uniform), so a channel's sum of |d| / width is the expected number of
+        its samples that flip.  The budget asks that the default run bins as
+        the converged run does, so each channel of the 32 s run may flip at
+        most one sample in expectation.  Today: at most 0.24 (musfib) and 0.19
+        (muslin); a 1e-9 default reads 1.13 (musfib yd)."""
+        runs = [long_pipeline.traces[name],
+                integrate(make_model(name), IntegratorConfig(t_end=32.0, tol=1e-12))]
         spec = compute_domains(runs, bins=400)
         default, close = (_trace_channels(run) for run in runs)
         worst, flips = {}, {}
         for channel, d in spec.channels.items():
             ratio = np.abs(default[channel] - close[channel]) / ((d.hi - d.lo) / d.bins)
             worst[channel], flips[channel] = ratio.max(), ratio.sum()
-        assert max(worst.values()) <= 1e-3, (
-            "max |d|/width " + ", ".join(f"{c} {v:.2g}" for c, v in worst.items())
-            + "; expected flips, sum |d|/width "
-            + ", ".join(f"{c} {v:.2g}" for c, v in flips.items()))
+        readings = ("max |d|/width " + ", ".join(f"{c} {v:.2g}" for c, v in worst.items())
+                    + "; expected flips, sum |d|/width "
+                    + ", ".join(f"{c} {v:.2g}" for c, v in flips.items()))
+        assert max(worst.values()) <= 1e-3, readings
+        assert max(flips.values()) <= 1.0, readings
 
     def test_sample_grid(self):
         trace = integrate(_DecayModel(), IntegratorConfig(t_end=0.25))

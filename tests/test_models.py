@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopmc.integrator import IntegratorConfig
+from hopmc.integrator import IntegratorConfig, _ballistic
 from hopmc.models import (
     DCMotModel,
     DCMotParams,
@@ -212,16 +212,22 @@ class TestSystemDerivative:
         # sensor channel is the same quantity the reflex reads
         assert model.sensors(1.0, x, ctx)[0] == pytest.approx(250.0, rel=1e-12)
 
-    def test_liftoff_resets_motor_current(self):
+    @pytest.mark.parametrize("tau", [1e-12, 0.1, 2.0])
+    def test_flight_resets_motor_current(self, tau):
+        # the current a stance ends with is reset at liftoff and held at zero
         model = DCMotModel(_ref_two_point())
-        x = np.array([1.0, 1.1, 2.5])
-        assert model.on_liftoff(x)[2] == 0.0
-        assert x[2] == 2.5  # original untouched
+        assert model.flight_flow(2.5, tau) == 0.0
+        assert model.flight_flow(-3.0, tau) == 0.0
 
-    def test_liftoff_takes_any_three_sequence(self):
-        # the base signature's Sequence[float]; the integrator's state is a float tuple
+    @pytest.mark.parametrize("x", [(1.0, 1.1, 2.5), np.array([1.0, 1.1, 2.5])],
+                             ids=["tuple", "array"])
+    def test_ballistic_flight_takes_any_three_sequence(self, x):
+        # the integrator's state is a float tuple; the flight leaves its input as it was
         model = DCMotModel(_ref_two_point())
-        assert model.on_liftoff((1.0, 1.1, 2.5)) == (1.0, 1.1, 0.0)
+        g = model.common.gravity
+        assert _ballistic(x, 0.1, g, model.flight_flow) == (
+            1.0 + 0.1 * (1.1 - 0.5 * g * 0.1), 1.1 - g * 0.1, 0.0)
+        assert tuple(x) == (1.0, 1.1, 2.5)
 
 
 class TestDCMotMassScaling:
