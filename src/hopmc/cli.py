@@ -10,11 +10,10 @@ Verbs:
   series and a JSON summary.
 
 The motor model (``dcmot``) tracks the last complete stance of a musfib
-trace: ``simulate`` takes it from ``--reference``, else from the
-``trace_musfib.csv`` in ``--out`` (simulating the default 8 s musfib run
-first when there is none); ``report`` takes it from the musfib trace of the
-same report.  The stance is written to ``reference_stance.csv`` and never
-read back from there.
+trace: ``report`` takes it from the musfib trace of the same report, and
+``simulate`` from the ``trace_musfib.csv`` in ``--out``, refusing one that
+another model made.  The stance is written to ``reference_stance.csv``,
+which no verb reads.
 
 Each trace sidecar holds the trace's provenance record (run length,
 parameters, integration path and settings, package version and, for
@@ -92,9 +91,6 @@ def _build_parser() -> _Parser:
                      help="t_end, seconds [%(default)s]")
     sim.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sim.add_argument("--config", type=Path, help="key = value parameter overrides")
-    sim.add_argument("--reference", type=Path,
-                     help="stance reference CSV for dcmot (else taken from "
-                          "trace_musfib.csv in --out)")
 
     mea = sub.add_parser("measure", help="compute measures over trace files")
     mea.add_argument("traces", nargs="+", type=Path)
@@ -134,33 +130,28 @@ def _write_reference(out: Path, reference: ReferenceTrajectory) -> None:
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _musfib_from_out(out: Path) -> tuple[Trace, bool]:
-    """The ``trace_musfib.csv`` in ``out`` and False; when there is none, the
-    default 8 s musfib run, simulated in memory, and True."""
-    musfib_csv = _trace_path(out, "musfib")
-    if musfib_csv.exists():
-        return load_trace(musfib_csv), False
-    print(f"no {musfib_csv}; simulating musfib first", file=sys.stderr)
-    return integrator.integrate(make_model("musfib"), IntegratorConfig()), True
+def _musfib_in(out: Path) -> Trace:
+    """The musfib trace in ``out``, whose stance ``dcmot`` tracks."""
+    path = _trace_path(out, "musfib")
+    if not path.exists():
+        raise ValueError(f"no {path}: run 'hopmc simulate --model musfib' into {out} "
+                         f"first, or use 'hopmc report'")
+    trace = load_trace(path)
+    if trace.model != "musfib":
+        raise ValueError(f"{path}: holds a trace of model {trace.model!r}, not 'musfib'")
+    return trace
 
 
 def cmd_simulate(args) -> int:
     cfg = IntegratorConfig(t_end=args.duration)
     overrides = load_config(args.config) if args.config else None
-    reference, musfib, fresh_musfib = None, None, False
-    if args.model == "dcmot" and args.reference:
-        reference = ReferenceTrajectory.from_csv(args.reference)
-    elif args.model == "dcmot":
-        musfib, fresh_musfib = _musfib_from_out(args.out)
-        reference = extract_stance_reference(musfib)
-    model = make_model(args.model, overrides, reference)
-    trace = integrator.integrate(model, cfg)
-    # only a run that succeeded writes: the musfib trace it simulated, the
-    # stance it took from that trace, then its own trace
+    reference = None
+    if args.model == "dcmot":
+        reference = extract_stance_reference(_musfib_in(args.out))
+    trace = integrator.integrate(make_model(args.model, overrides, reference), cfg)
+    # only a run that succeeded writes: the stance it tracked, then its trace
     args.out.mkdir(parents=True, exist_ok=True)
-    if fresh_musfib:
-        musfib.save(_trace_path(args.out, "musfib"))
-    if musfib is not None:
+    if reference is not None:
         _write_reference(args.out, reference)
     path = trace.save(_trace_path(args.out, args.model))
     print(f"wrote {path} ({len(trace)} rows, "

@@ -199,7 +199,8 @@ def _require(side: Path, what: str, record, schema: dict) -> None:
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Read a trace CSV and its .meta.json sidecar."""
+    """Read a trace CSV and its .meta.json sidecar.  A non-finite sample is
+    refused, naming its line and column."""
     path = Path(path)
     side = meta_path(path)
     if not side.exists():
@@ -218,7 +219,7 @@ def load_trace(path: str | Path) -> Trace:
     n_sensors = len(sidecar["sensor_names"])
     if data.shape[1] != 6 + n_sensors:
         raise ValueError(f"{path}: expected {6 + n_sensors} columns, found {data.shape[1]}")
-    return Trace(
+    trace = Trace(
         model=sidecar["model"],
         action_kind=sidecar["action_kind"],
         sensor_names=tuple(sidecar["sensor_names"]),
@@ -232,6 +233,13 @@ def load_trace(path: str | Path) -> Trace:
         events=[TraceEvent(**d) for d in sidecar["events"]],
         meta=sidecar["meta"],
     )
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: line {row + 2}, column "
+                         f"'{trace.csv_header().split(',')[col]}': "
+                         f"non-finite sample {data[row, col]}")
+    return trace
 
 
 class _DelayLine:
@@ -335,6 +343,9 @@ class _Recorder:
     def __init__(self, model: HoppingModel, cfg: IntegratorConfig):
         self.model = model
         n = int(math.floor(cfg.t_end * _SAMPLE_RATE + 1e-9)) + 1
+        if n < 2:
+            raise ValueError(f"t_end = {cfg.t_end!r} s is shorter than one sample period "
+                             f"of the {_SAMPLE_RATE:g} Hz grid; a trace needs two samples")
         self.n = n
         try:
             self.t = np.arange(n) / _SAMPLE_RATE

@@ -347,7 +347,7 @@ class ReferenceTrajectory:
     @property
     def sha256(self) -> str:
         """SHA-256 of the (tau, y, yd, ydd) float64 bytes: the same for the
-        same samples, whether extracted in memory or read from a CSV."""
+        same samples, wherever they came from."""
         digest = hashlib.sha256()
         for channel in (self.tau, self.y, self.yd, self.ydd):
             digest.update(channel.tobytes())
@@ -355,13 +355,6 @@ class ReferenceTrajectory:
 
     def to_csv(self, path: str | Path) -> Path:
         return write_csv(path, "tau,y,yd,ydd", (self.tau, self.y, self.yd, self.ydd))
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "ReferenceTrajectory":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 4:
-            raise ValueError(f"reference file {path} must have 4 columns (tau,y,yd,ydd)")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hopmc
 from hopmc.cli import _build_parser, main
 from hopmc.integrator import IntegratorConfig, extract_stance_reference, load_trace, provenance
-from hopmc.models import MODEL_NAMES, DCMotParams, ReferenceTrajectory, make_model, write_csv
+from hopmc.models import MODEL_NAMES, DCMotParams, make_model
 
 
 def _copy_traces(trace_dir, dest, names=("musfib", "muslin", "dcmot")):
@@ -81,54 +80,43 @@ class TestSimulate:
             main(["simulate", "--model", "pogo", "--out", str(tmp_path)])
         assert exc.value.code == 1
 
-    def test_dcmot_with_explicit_reference(self, trace_dir, tmp_path):
-        rc = main(["simulate", "--model", "dcmot", "--duration", "2",
-                   "--out", str(tmp_path),
-                   "--reference", str(trace_dir / "reference_stance.csv")])
-        assert rc == 0
-        trace = load_trace(tmp_path / "trace_dcmot.csv")
-        assert trace.sensor_names == ("y", "yd")
-        assert len(trace) == 2001
-        # the exact stance path has no tolerances or step size to report
-        assert "tol" not in trace.meta
-        # the stance read from its CSV has the digest of the one made in memory
-        in_memory = load_trace(trace_dir / "trace_dcmot.csv").meta["reference_sha256"]
-        assert trace.meta["reference_sha256"] == in_memory
-
-    def test_dcmot_reuses_cached_musfib_trace(self, trace_dir, tmp_path, capsys):
+    def test_dcmot_reuses_cached_musfib_trace(self, trace_dir, tmp_path):
         _copy_traces(trace_dir, tmp_path, names=("musfib",))
         rc = main(["simulate", "--model", "dcmot", "--duration", "1",
                    "--out", str(tmp_path)])
         assert rc == 0
-        # reference extracted from the trace in --out and written with its hash
+        trace = load_trace(tmp_path / "trace_dcmot.csv")
+        assert trace.sensor_names == ("y", "yd")
+        assert len(trace) == 1001
+        # the exact stance path has no tolerances or step size to report
+        assert "tol" not in trace.meta
+        # reference extracted from the trace in --out and written with its hash,
+        # the digest of the one made in memory
         assert (tmp_path / "reference_stance.csv").exists()
         meta = json.loads((tmp_path / "reference_stance.meta.json").read_text())
         assert meta["source_trace"] == "trace_musfib.csv"
         in_memory = load_trace(trace_dir / "trace_dcmot.csv").meta["reference_sha256"]
         assert meta["reference_sha256"] == in_memory
-        assert load_trace(tmp_path / "trace_dcmot.csv").meta["reference_sha256"] == in_memory
-        assert "simulating musfib" not in capsys.readouterr().err
+        assert trace.meta["reference_sha256"] == in_memory
 
     def test_stale_reference_in_out_is_not_used(self, trace_dir, tmp_path):
         # a reference_stance.csv left in --out by another musfib run, here a
-        # 2 s one, must give way to the stance of the trace_musfib.csv there
+        # 2 s one, is overwritten by the stance of the trace_musfib.csv there
+        # and never read
         short = tmp_path / "short"
         assert main(["simulate", "--model", "musfib", "--duration", "2",
                      "--out", str(short)]) == 0
-        out = tmp_path / "out"
-        _copy_traces(trace_dir, out, names=("musfib",))
+        out, clean = tmp_path / "out", tmp_path / "clean"
+        for directory in (out, clean):
+            _copy_traces(trace_dir, directory, names=("musfib",))
         stale = extract_stance_reference(load_trace(short / "trace_musfib.csv"))
         stale.to_csv(out / "reference_stance.csv")
         fresh = trace_dir / "reference_stance.csv"
         assert (out / "reference_stance.csv").read_bytes() != fresh.read_bytes()
-        explicit = tmp_path / "explicit"
-        for argv in (["--out", str(out)], ["--out", str(explicit), "--reference", str(fresh)]):
-            assert main(["simulate", "--model", "dcmot", "--duration", "1", *argv]) == 0
-        assert (out / "trace_dcmot.csv").read_bytes() == \
-            (explicit / "trace_dcmot.csv").read_bytes()
-        # both paths track one stance, so they record one provenance
-        assert (out / "trace_dcmot.meta.json").read_bytes() == \
-            (explicit / "trace_dcmot.meta.json").read_bytes()
+        for directory in (out, clean):
+            assert main(["simulate", "--model", "dcmot", "--duration", "1",
+                         "--out", str(directory)]) == 0
+        assert _snapshot(out) == _snapshot(clean)
         assert (out / "reference_stance.csv").read_bytes() == fresh.read_bytes()
         meta = json.loads((out / "reference_stance.meta.json").read_text())
         assert meta["reference_sha256"] == load_trace(out / "trace_dcmot.csv").meta[
@@ -139,25 +127,22 @@ class TestSimulate:
         cfg = tmp_path / "p.cfg"
         cfg.write_text("volt_max = 10\n", encoding="utf-8")
         out = tmp_path / "out"
+        _copy_traces(trace_dir, out, names=("musfib",))
         rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
-                   "--config", str(cfg),
-                   "--reference", str(trace_dir / "reference_stance.csv")])
+                   "--config", str(cfg)])
         assert rc == 2
         assert "dcmot" in capsys.readouterr().err
         assert not (out / "trace_dcmot.csv").exists()
 
-    @pytest.mark.parametrize("config, musfib_in_out, reason", [
-        ("volt_max = 10", True, "stance input"),
-        ("volt_max = 10", False, "stance input"),
-        ("kp = 1e200", True, "non-finite stance state"),
-    ])
+    @pytest.mark.parametrize("config, reason", [
+        ("volt_max = 10", "stance input"),
+        ("kp = 1e200", "non-finite stance state"),
+    ], ids=["volt_max", "kp"])
     def test_failed_dcmot_run_writes_nothing(self, trace_dir, tmp_path, capsys, config,
-                                             musfib_in_out, reason):
-        # neither the stance reference nor a musfib trace simulated for it
+                                             reason):
+        # not even the stance reference it took from the musfib trace
         out = tmp_path / "out"
-        out.mkdir()
-        if musfib_in_out:
-            _copy_traces(trace_dir, out, names=("musfib",))
+        _copy_traces(trace_dir, out, names=("musfib",))
         cfg = tmp_path / "p.cfg"
         cfg.write_text(config + "\n", encoding="utf-8")
         kept = _snapshot(out)
@@ -167,14 +152,53 @@ class TestSimulate:
         assert reason in capsys.readouterr().err
         assert _snapshot(out) == kept
 
+    def test_dcmot_without_musfib_trace_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hopmc: error: no {out / 'trace_musfib.csv'}: run 'hopmc simulate --model "
+            f"musfib' into {out} first, or use 'hopmc report'"]
+        assert not out.exists()
+
+    def test_dcmot_refuses_a_trace_of_another_model(self, trace_dir, tmp_path, capsys):
+        # a muslin trace under the musfib trace's name is not a musfib stance
+        out = tmp_path / "out"
+        out.mkdir()
+        for suffix in (".csv", ".meta.json"):
+            shutil.copy(trace_dir / f"trace_muslin{suffix}", out / f"trace_musfib{suffix}")
+        kept = _snapshot(out)
+        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hopmc: error: {out / 'trace_musfib.csv'}: holds a trace of model 'muslin', "
+            f"not 'musfib'"]
+        assert _snapshot(out) == kept
+
     def test_dcmot_with_shared_mass_at_its_default(self, trace_dir, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("mass = 80\n", encoding="utf-8")
         default, configured = tmp_path / "default", tmp_path / "configured"
         for out, extra in ((default, []), (configured, ["--config", str(cfg)])):
+            _copy_traces(trace_dir, out, names=("musfib",))
             assert main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
-                         "--reference", str(trace_dir / "reference_stance.csv"), *extra]) == 0
+                         *extra]) == 0
         assert _snapshot(configured) == _snapshot(default)
+
+    def test_simulate_and_report_build_the_same_motor(self, tmp_path):
+        # the motor that simulate builds from the musfib trace in --out is the
+        # one report builds from its own musfib trace, under the same config
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mass = 70\n", encoding="utf-8")
+        sim, rep = tmp_path / "sim", tmp_path / "rep"
+        for model in ("musfib", "dcmot"):
+            assert main(["simulate", "--model", model, "--duration", "2", "--out", str(sim),
+                         "--config", str(cfg)]) == 0
+        assert main(["report", "--duration", "2", "--out", str(rep),
+                     "--config", str(cfg)]) == 0
+        names = [f"{stem}{suffix}" for stem in ("trace_musfib", "trace_dcmot", "reference_stance")
+                 for suffix in (".csv", ".meta.json")]
+        assert _snapshot(sim) == {name: (rep / name).read_bytes() for name in names}
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -216,19 +240,14 @@ class TestInadmissibleSettings:
         assert capsys.readouterr().err.startswith(f"hopmc: error: {named}: must be finite")
         assert _snapshot(out) == kept
 
-    @pytest.mark.parametrize("channel, column", [("tau", 0), ("y", 1)])
-    def test_non_finite_reference_is_usage_error(self, trace_dir, tmp_path, capsys,
-                                                 channel, column):
-        samples = np.loadtxt(trace_dir / "reference_stance.csv", delimiter=",", skiprows=1)
-        samples[10, column] = np.nan
-        bad = write_csv(tmp_path / "ref.csv", "tau,y,yd,ydd", samples.T)
+    def test_run_shorter_than_one_sample_period(self, tmp_path, capsys):
         out = tmp_path / "out"
-        out.mkdir()
-        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out),
-                   "--reference", str(bad)])
+        rc = main(["simulate", "--model", "musfib", "--duration", "0.0005", "--out", str(out)])
         assert rc == 1
-        assert f"reference {channel} has a non-finite sample" in capsys.readouterr().err
-        assert _snapshot(out) == {}
+        assert capsys.readouterr().err.splitlines() == [
+            "hopmc: error: t_end = 0.0005 s is shorter than one sample period of the "
+            "1000 Hz grid; a trace needs two samples"]
+        assert not out.exists()
 
 
 class TestMeasure:
@@ -343,6 +362,58 @@ class TestMalformedSidecar:
         assert _snapshot(tmp_path) == kept
 
 
+def _damage_sample(csv, row, column, value):
+    """Write ``value`` into the named column of sample ``row`` of a trace CSV;
+    returns the file line it sits on."""
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row + 1] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return row + 2
+
+
+def _in_last_stance(trace):
+    """The index of the 1 kHz sample midway through the last complete stance."""
+    liftoff = max(e.t for e in trace.events if e.kind == "liftoff")
+    touchdown = max(e.t for e in trace.events if e.kind == "touchdown" and e.t < liftoff)
+    return round(1000.0 * (touchdown + liftoff) / 2)
+
+
+class TestNonFiniteSample:
+    # a trace sample that is not finite is refused by name before any write
+
+    @pytest.mark.parametrize("verb", ["measure", "sweep-bins"])
+    @pytest.mark.parametrize("model, column, value", [
+        ("musfib", "y", "nan"),
+        ("muslin", "a", "inf"),
+    ], ids=["musfib-y-nan", "muslin-a-inf"])
+    def test_is_a_usage_error(self, trace_dir, tmp_path, capsys, verb, model, column, value):
+        paths = _copy_traces(trace_dir, tmp_path)
+        csv = tmp_path / f"trace_{model}.csv"
+        line = _damage_sample(csv, 1234, column, value)
+        kept = _snapshot(tmp_path)
+        argv = (["measure", *paths, "--state-series"] if verb == "measure"
+                else ["sweep-bins", *paths, "--bins", "50,100"])
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hopmc: error: {csv}: line {line}, column '{column}': non-finite sample {value}"]
+        assert _snapshot(tmp_path) == kept
+
+    def test_in_the_stance_dcmot_tracks(self, trace_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        _copy_traces(trace_dir, out, names=("musfib",))
+        csv = out / "trace_musfib.csv"
+        line = _damage_sample(csv, _in_last_stance(load_trace(csv)), "y", "nan")
+        kept = _snapshot(out)
+        rc = main(["simulate", "--model", "dcmot", "--duration", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hopmc: error: {csv}: line {line}, column 'y': non-finite sample nan"]
+        assert _snapshot(out) == kept
+
+
 class TestMalformedMotorSidecar:
     """dcmot actions are mapped with the ``volt_max`` its sidecar records;
     ``measure`` refuses one that is not a finite positive number."""
@@ -413,7 +484,7 @@ class TestReport:
                      "--config", str(cfg_file)]) == 0
         meta = {name: json.loads((out / f"trace_{name}.meta.json").read_text())["meta"]
                 for name in MODEL_NAMES}
-        reference = ReferenceTrajectory.from_csv(out / "reference_stance.csv")
+        reference = extract_stance_reference(load_trace(out / "trace_musfib.csv"))
         cfg = IntegratorConfig(t_end=2.0)
         for name in MODEL_NAMES:
             overrides = None if name == "dcmot" else {"f_max": 2600.0}
@@ -488,7 +559,7 @@ class TestOptions:
     # every verb's option strings: adding or removing a CLI option changes
     # this table in the same diff
     OPTIONS = {
-        "simulate": {"--model", "--duration", "--out", "--config", "--reference"},
+        "simulate": {"--model", "--duration", "--out", "--config"},
         "measure": {"--bins", "--out", "--state-series"},
         "sweep-bins": {"--bins", "--out"},
         "report": {"--out", "--duration", "--bins", "--config", "--state-series"},

@@ -392,7 +392,10 @@ class TestReferenceTrajectory:
         ref = _ref_two_point()
         path = tmp_path / "ref.csv"
         ref.to_csv(path)
-        back = ReferenceTrajectory.from_csv(path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == "tau,y,yd,ydd"
+        back = ReferenceTrajectory(*np.loadtxt(path, delimiter=",", skiprows=1).T)
+        # the file holds exactly the samples its digest names
+        assert back.sha256 == ref.sha256
         np.testing.assert_array_equal(back.tau, ref.tau)
         np.testing.assert_array_equal(back.y, ref.y)
         np.testing.assert_array_equal(back.yd, ref.yd)
